@@ -36,7 +36,7 @@ from .measurement import (
     mixed_density,
     outcome_dist,
     pure_density,
-    sample_outcome,
+    sample_outcomes,
     state_povm,
     support_povm,
 )

@@ -15,10 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, attacks, measurement, oracle, protocol, window
-from .spectra import SpectralAmplitude, grid_for_amplitudes, make_amplitude, sample
+from .spectra import SHAPES, SpectralAmplitude, grid_for_amplitudes, make_amplitude, sample
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,13 +51,36 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str, kind=float):
-    if key not in cfg:
+_MISSING = object()
+
+
+def _require(cfg: dict, key: str, kind=float, default=_MISSING):
+    """``kind(cfg[key])``; a missing key takes ``default`` or is an error."""
+    if key not in cfg and default is _MISSING:
         raise ConfigError(f"missing config key {key!r}")
     try:
-        return kind(cfg[key])
+        return kind(cfg.get(key, default))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
+
+
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
+
+
+def _shapes(values) -> list[str]:
+    values = list(values)
+    for v in values:
+        if v not in SHAPES:
+            raise ValueError(f"unknown shape {v!r}, expected one of {SHAPES}")
+    return values
+
+
+def _bit(value) -> int:
+    bit = int(value)
+    if bit not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {bit}")
+    return bit
 
 
 def _config_hash(cfg: dict) -> str:
@@ -101,10 +122,10 @@ def _fmt(v) -> str:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    shapes = cfg.get("shapes", ["rectangular"])
-    deltas = [float(d) for d in cfg.get("deltas", [1.0])]
-    times = [float(t) for t in cfg.get("times", [0.0])]
-    k_c = float(cfg.get("k_c", 10.0))
+    shapes = _require(cfg, "shapes", _shapes, default=["rectangular"])
+    deltas = _require(cfg, "deltas", _floats, default=[1.0])
+    times = _require(cfg, "times", _floats, default=[0.0])
+    k_c = _require(cfg, "k_c", default=10.0)
     rows = []
     for shape in shapes:
         for delta in deltas:
@@ -137,10 +158,10 @@ def _protocol_config(cfg: dict, seed: int) -> protocol.CommitConfig:
             amp1=make_amplitude(shape, k1, delta),
             amp2=make_amplitude(shape, k2, delta),
             t_open=_require(cfg, "t_open"),
-            t_probe=float(cfg.get("t_probe", 0.0)),
+            t_probe=_require(cfg, "t_probe", default=0.0),
             povm_family=cfg.get("family", "state"),
             seed=seed,
-            channel_delay=float(cfg.get("channel_delay", 0.0)),
+            channel_delay=_require(cfg, "channel_delay", default=0.0),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -152,11 +173,7 @@ def _strategy(cfg: dict) -> attacks.Strategy:
         if kind == "wrong_state":
             amp = SpectralAmplitude.from_json(cfg["wrong_state"])
             return attacks.Strategy(kind=kind, amplitude=amp)
-        return attacks.Strategy(
-            kind=kind,
-            tau0=float(cfg.get("tau0", 0.0)),
-            t_probe=float(cfg.get("t_probe", 0.0)),
-        )
+        return attacks.Strategy(kind=kind, tau0=_require(cfg, "tau0", default=0.0))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad adversary spec: {exc}") from exc
 
@@ -165,22 +182,11 @@ def cmd_run(args) -> int:
     cfg = _load_config(args.config)
     config = _protocol_config(cfg, args.seed)
     strategy = _strategy(cfg)
+    bit = _require(cfg, "bit", _bit, default=0)
     ctx = protocol.ProtocolContext(config)
-    if strategy.kind not in ("honest", "early_measure"):
-        sent_by_bit = {
-            b: attacks.transmitted_state(strategy, b, ctx) for b in (0, 1)
-        }
-    transcripts = []
-    for i in range(args.runs):
-        rng = np.random.default_rng([config.seed, i])
-        bit = int(cfg.get("bit", 0))
-        record, states = protocol.commit(config, bit, rng, ctx)
-        if strategy.kind not in ("honest", "early_measure"):
-            states = [sent_by_bit[b] for b in record.channel_bits]
-        t = protocol.run_protocol(
-            config, bit, rng=rng, ctx=ctx, transmitted=states, record=record
-        )
-        transcripts.append(t)
+    transcripts = protocol.run_many(
+        config, args.runs, bit, ctx, sent=attacks.sent_pair(strategy, ctx)
+    )
     if args.format == "json":
         if args.out is None:
             for t in transcripts:
@@ -214,19 +220,17 @@ def cmd_attack(args) -> int:
     config = _protocol_config(cfg, args.seed)
     strategy = _strategy(cfg)
     ctx = protocol.ProtocolContext(config)
-    times = [float(t) for t in cfg.get("times", [config.t_open])]
-    family = config.povm_family
+    times = _require(cfg, "times", _floats, default=[config.t_open])
+    n = config.n_channels
+    param = strategy.tau0 if strategy.kind == "delayed" else config.t_probe
+    early = {}  # B's advantage per probe time; rows past t_probe share one
     rows = []
     for t in sorted(times):
-        q = attacks.per_channel_flag_prob(strategy, ctx, family, t)
-        det = attacks.cheat_detection_prob(strategy, config.n_channels, ctx, family, t)
-        p_ind, p_coll, p_guess = attacks.early_binding_advantage(
-            config, min(config.t_probe, t), ctx
-        )
-        param = strategy.tau0 if strategy.kind == "delayed" else strategy.t_probe
-        rows.append(
-            (strategy.kind, param, config.n_channels, t, q, det, p_ind, p_coll, p_guess)
-        )
+        q = attacks.per_channel_flag_prob(strategy, ctx, config.povm_family, t)
+        t_probe = min(config.t_probe, t)
+        if t_probe not in early:
+            early[t_probe] = attacks.early_binding_advantage(config, t_probe, ctx)
+        rows.append((strategy.kind, param, n, t, q, 1.0 - (1.0 - q) ** n, *early[t_probe]))
     columns = (
         "strategy", "param", "N", "T", "q", "detection_prob",
         "P_ind", "P_coll", "P_guess",
@@ -293,7 +297,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int, default=1, help="parallel tasks (advisory)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -128,22 +128,19 @@ def outcome_dist(povm: Povm, state_or_density) -> OutcomeDist:
     return OutcomeDist(p1=p1 / total, p2=p2 / total, p_perp=pp / total)
 
 
-def sample_outcome(dist: OutcomeDist, rng: np.random.Generator) -> int:
-    """Draw one outcome: 1, 2, or PERP."""
-    r = rng.random()
-    if r < dist.p1:
-        return 1
-    if r < dist.p1 + dist.p2:
-        return 2
-    return PERP
+def sample_outcomes(dists, channel_bits, rng: np.random.Generator) -> np.ndarray:
+    """Draw one outcome (1, 2 or PERP) per channel from a single ``rng.random(n)``.
 
-
-def sample_outcomes(dist: OutcomeDist, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized outcome draws; same convention as sample_outcome."""
-    r = rng.random(size)
-    out = np.full(size, PERP, dtype=np.int64)
-    out[r < dist.p1 + dist.p2] = 2
-    out[r < dist.p1] = 1
+    Channel c meets ``dists[channel_bits[c]]``; its draw r gives 1 when
+    r < p1, 2 when r < p1 + p2, PERP otherwise.
+    """
+    bits = np.asarray(channel_bits, dtype=np.intp)
+    p1 = np.array([d.p1 for d in dists])[bits]
+    p12 = np.array([d.p1 + d.p2 for d in dists])[bits]
+    r = rng.random(bits.size)
+    out = np.full(bits.size, PERP, dtype=np.int64)
+    out[r < p12] = 2
+    out[r < p1] = 1
     return out
 
 

@@ -50,6 +50,12 @@ class CommitConfig:
         if max(lo1, lo2) < min(hi1, hi2):
             raise ValueError("carrier supports must be disjoint")
 
+    @property
+    def open_window(self) -> float:
+        """Window parameter of B's measurement at t_open; the carriers reach
+        B channel_delay after launch."""
+        return max(self.t_open - self.channel_delay, 0.0)
+
 
 @dataclass(frozen=True)
 class CommitRecord:
@@ -70,10 +76,10 @@ class CommitTranscript:
     record: CommitRecord
     outcomes: tuple[int, ...]
     measure_time: float
-    claims: CommitRecord
     verdict: str
 
     def to_json(self) -> dict:
+        # A opens exactly what it committed, so the claims are the record
         return {
             "n_channels": self.config.n_channels,
             "family": self.config.povm_family,
@@ -83,14 +89,14 @@ class CommitTranscript:
             "channel_bits": list(self.record.channel_bits),
             "outcomes": list(self.outcomes),
             "measure_time": self.measure_time,
-            "claimed_bit": self.claims.bit,
-            "claimed_channel_bits": list(self.claims.channel_bits),
+            "claimed_bit": self.record.bit,
+            "claimed_channel_bits": list(self.record.channel_bits),
             "verdict": self.verdict,
         }
 
 
 class ProtocolContext:
-    """Grid, reference states and POVM cache shared across runs of one config."""
+    """Grid and reference states shared across runs of one config."""
 
     def __init__(self, config: CommitConfig):
         self.config = config
@@ -99,61 +105,44 @@ class ProtocolContext:
         )
         self.psi1: SampledState = sample(config.amp1, self.grid)
         self.psi2: SampledState = sample(config.amp2, self.grid)
-        self._povms: dict[tuple[str, float], measurement.Povm] = {}
 
     def povm(self, t: float, family: str | None = None) -> measurement.Povm:
-        family = family or self.config.povm_family
-        key = (family, t)
-        if key not in self._povms:
-            if family == "support":
-                self._povms[key] = measurement.support_povm(
-                    self.grid, self.config.amp1.support, self.config.amp2.support, t
-                )
-            else:
-                self._povms[key] = measurement.state_povm(self.psi1, self.psi2, t)
-        return self._povms[key]
+        """Build the POVM with window parameter t (the config's family by default)."""
+        if (family or self.config.povm_family) == "support":
+            return measurement.support_povm(
+                self.grid, self.config.amp1.support, self.config.amp2.support, t
+            )
+        return measurement.state_povm(self.psi1, self.psi2, t)
+
+    def outcome_dists(
+        self, t: float, sent=None, family: str | None = None
+    ) -> tuple[measurement.OutcomeDist, measurement.OutcomeDist]:
+        """Outcome distributions at window parameter t for channel bits 0 and 1.
+
+        ``sent`` is what the sender ships for each channel bit (a state or a
+        density matrix); the honest carriers by default.  The POVM is built
+        once and dropped on return.
+        """
+        povm = self.povm(t, family)
+        s0, s1 = (self.psi1, self.psi2) if sent is None else sent
+        d0 = measurement.outcome_dist(povm, s0)
+        return d0, d0 if s1 is s0 else measurement.outcome_dist(povm, s1)
 
     def carrier(self, channel_bit: int) -> SampledState:
         return self.psi1 if channel_bit == 0 else self.psi2
 
 
-def commit(
-    config: CommitConfig, bit: int, rng: np.random.Generator, ctx: ProtocolContext | None = None
-) -> tuple[CommitRecord, list[SampledState]]:
+def commit(config: CommitConfig, bit: int, rng: np.random.Generator) -> CommitRecord:
     """A's commit move: random channel bits with the committed parity.
 
-    Returns the record A keeps plus the carrier states launched to B
-    (all at t = 0; a non-zero channel_delay only shifts the clock).
+    The carrier launched on a channel (at t = 0; a non-zero channel_delay
+    only shifts the clock) is ``ProtocolContext.carrier`` of its bit.
     """
-    ctx = ctx or ProtocolContext(config)
     n = config.n_channels
     head = [int(b) for b in rng.integers(0, 2, size=n - 1)]
     parity = functools.reduce(lambda a, b: a ^ b, head, 0)
     channel_bits = tuple(head + [parity ^ int(bit)])
-    record = CommitRecord(bit=int(bit), channel_bits=channel_bits)
-    states = [ctx.carrier(b) for b in channel_bits]
-    return record, states
-
-
-def measure_all(
-    states,
-    t: float,
-    ctx: ProtocolContext,
-    rng: np.random.Generator,
-    family: str | None = None,
-) -> tuple[int, ...]:
-    """B measures every channel independently with the window parameter t."""
-    if t < 0:
-        raise ValueError("measurement time must be non-negative")
-    povm = ctx.povm(max(t - ctx.config.channel_delay, 0.0), family)
-    dist_cache: dict[int, measurement.OutcomeDist] = {}
-    outcomes = []
-    for s in states:
-        key = id(s)
-        if key not in dist_cache:
-            dist_cache[key] = measurement.outcome_dist(povm, s)
-        outcomes.append(measurement.sample_outcome(dist_cache[key], rng))
-    return tuple(outcomes)
+    return CommitRecord(bit=int(bit), channel_bits=channel_bits)
 
 
 def open_and_verify(
@@ -187,46 +176,31 @@ def run_protocol(
     bit: int,
     rng: np.random.Generator | None = None,
     ctx: ProtocolContext | None = None,
-    transmitted: list | None = None,
-    open_time: float | None = None,
     record: CommitRecord | None = None,
+    dists: tuple[measurement.OutcomeDist, measurement.OutcomeDist] | None = None,
 ) -> CommitTranscript:
     """One full commit / measure / open / verify round.
 
-    ``transmitted`` overrides the honest carriers (adversarial senders);
     ``record`` skips the commit draw when the channel bits were fixed
-    upstream.  A's opened claims are always the committed record.
+    upstream.  ``dists`` are the outcome distributions per channel bit at
+    the measurement (``ProtocolContext.outcome_dists``); the honest
+    carriers' by default.  A's opened claims are always the committed record.
     """
     rng = rng if rng is not None else np.random.default_rng(config.seed)
-    ctx = ctx or ProtocolContext(config)
-    open_time = config.t_open if open_time is None else open_time
     if record is None:
-        record, states = commit(config, bit, rng, ctx)
-    else:
-        if record.bit != bit:
-            raise ValueError("record parity does not match the committed bit")
-        states = [ctx.carrier(b) for b in record.channel_bits]
-    if transmitted is not None:
-        if len(transmitted) != config.n_channels:
-            raise ValueError("one transmitted state per channel required")
-        states = transmitted
-    povm = ctx.povm(max(open_time - config.channel_delay, 0.0))
-    outcomes = []
-    dist_cache: dict[int, measurement.OutcomeDist] = {}
-    for s in states:
-        key = id(s)
-        if key not in dist_cache:
-            dist_cache[key] = measurement.outcome_dist(povm, s)
-        outcomes.append(measurement.sample_outcome(dist_cache[key], rng))
-    outcomes = tuple(outcomes)
-    verdict = open_and_verify(config, record, outcomes, open_time)
+        record = commit(config, bit, rng)
+    elif record.bit != bit:
+        raise ValueError("record parity does not match the committed bit")
+    if dists is None:
+        ctx = ctx or ProtocolContext(config)
+        dists = ctx.outcome_dists(config.open_window)
+    outcomes = tuple(measurement.sample_outcomes(dists, record.channel_bits, rng).tolist())
     return CommitTranscript(
         config=config,
         record=record,
         outcomes=outcomes,
-        measure_time=open_time,
-        claims=record,
-        verdict=verdict,
+        measure_time=config.t_open,
+        verdict=open_and_verify(config, record, outcomes, config.t_open),
     )
 
 
@@ -235,14 +209,20 @@ def run_many(
     runs: int,
     bit: int = 0,
     ctx: ProtocolContext | None = None,
+    sent=None,
 ) -> list[CommitTranscript]:
-    """Independent seeded runs; run i uses the stream (seed, i)."""
+    """Independent seeded runs; run i uses the stream (seed, i).
+
+    ``sent`` is what the sender ships for channel bits 0 and 1 (see
+    ``ProtocolContext.outcome_dists``); their distributions are computed
+    once for the whole batch.
+    """
     ctx = ctx or ProtocolContext(config)
-    out = []
-    for i in range(runs):
-        rng = np.random.default_rng([config.seed, i])
-        out.append(run_protocol(config, bit, rng=rng, ctx=ctx))
-    return out
+    dists = ctx.outcome_dists(config.open_window, sent)
+    return [
+        run_protocol(config, bit, rng=np.random.default_rng([config.seed, i]), dists=dists)
+        for i in range(runs)
+    ]
 
 
 def ident_prob_individual(p: float, n_channels: int) -> float:

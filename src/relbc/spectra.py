@@ -247,7 +247,6 @@ class SampledState:
 
     grid: KGrid
     values: np.ndarray
-    renorm: float = 1.0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -264,7 +263,7 @@ class SampledState:
 
 
 def sample(amplitude: SpectralAmplitude, grid: KGrid) -> SampledState:
-    """Evaluate an amplitude on a grid, renormalize, and record the factor."""
+    """Evaluate an amplitude on a grid and renormalize it to unit quadrature norm."""
     lo, hi = amplitude.support
     tol = 1e-12 * max(abs(lo), abs(hi), 1.0)
     if grid.k_min > lo + tol or grid.k_max < hi - tol:
@@ -279,7 +278,7 @@ def sample(amplitude: SpectralAmplitude, grid: KGrid) -> SampledState:
     norm = math.sqrt(float(grid.weights @ np.abs(raw) ** 2))
     if norm == 0.0:
         raise ValueError("amplitude vanishes on the grid")
-    return SampledState(grid=grid, values=raw / norm, renorm=1.0 / norm)
+    return SampledState(grid=grid, values=raw / norm)
 
 
 def overlap(a: SampledState, b: SampledState) -> complex:

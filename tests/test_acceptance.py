@@ -190,21 +190,10 @@ def test_criterion_07_protocol_statistics():
 def test_criterion_08_honest_completeness(long_run):
     config, ctx = long_run
     runs = 10_000
-    povm = ctx.povm(config.t_open)
-    dists = {
-        b: measurement.outcome_dist(povm, ctx.carrier(b)) for b in (0, 1)
-    }
-    p1 = dists[0].p1
-    aborts = accepts = 0
-    for i in range(runs):
-        rng = np.random.default_rng([config.seed, i])
-        record, _ = protocol.commit(config, 0, rng, ctx)
-        outcomes = tuple(
-            measurement.sample_outcome(dists[b], rng) for b in record.channel_bits
-        )
-        verdict = protocol.open_and_verify(config, record, outcomes, config.t_open)
-        aborts += verdict == protocol.ABORT
-        accepts += verdict == protocol.ACCEPT
+    p1 = measurement.outcome_dist(ctx.povm(config.t_open), ctx.carrier(0)).p1
+    verdicts = [t.verdict for t in protocol.run_many(config, runs, bit=0, ctx=ctx)]
+    aborts = verdicts.count(protocol.ABORT)
+    accepts = verdicts.count(protocol.ACCEPT)
     expect = p1**config.n_channels
     sigma = math.sqrt(expect * (1.0 - expect) / runs)
     rate = accepts / runs

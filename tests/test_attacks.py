@@ -40,8 +40,9 @@ def long_ctx(config):
 
 
 def test_strategy_validation():
-    with pytest.raises(ValueError, match="unknown"):
-        Strategy(kind="replay")
+    for kind in ("replay", "early_measure"):
+        with pytest.raises(ValueError, match="unknown"):
+            Strategy(kind=kind)
     with pytest.raises(ValueError, match="non-negative"):
         Strategy(kind="delayed", tau0=-1.0)
     with pytest.raises(ValueError, match="amplitude"):

@@ -146,6 +146,12 @@ def test_attack_table(tmp_path):
     for r in rows:
         q, det = float(r[4]), float(r[5])
         assert abs(det - (1 - (1 - q) ** 3)) < 1e-12
+    # every sender but the delayed one reports the probe time as its parameter
+    wrong = dict(RUN_CFG, adversary="wrong_state", t_probe=2.0, times=[5.0],
+                 wrong_state={"shape": "raised-cosine", "k_c": 11.0, "delta": 0.8})
+    path = _write(tmp_path, wrong, "wrong.json")
+    assert main(["attack", "--config", path, "--out", str(out)]) == EXIT_OK
+    assert out.read_text().splitlines()[4].split(",")[:2] == ["wrong_state", "2.0"]
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -181,6 +187,16 @@ def test_exit_codes(tmp_path, capsys):
         tmp_path, dict(RUN_CFG, k1=10.2), "overlap.json"
     )
     assert main(["run", "--config", overlap]) == EXIT_CONFIG
+    for name, cmd, cfg in (
+        ("bit2", "run", dict(RUN_CFG, bit=2)),
+        ("bitx", "run", dict(RUN_CFG, bit="x")),
+        ("times", "attack", dict(RUN_CFG, times=["soon"])),
+        ("shapes", "sweep", dict(SWEEP_CFG, shapes=["square"])),
+        ("early", "run", dict(RUN_CFG, adversary="early_measure")),
+    ):
+        assert main([cmd, "--config", _write(tmp_path, cfg, f"{name}.json")]) == EXIT_CONFIG
+    # the old advisory --jobs option is gone
+    assert main(["run", "--config", _write(tmp_path, RUN_CFG), "--jobs", "2"]) == EXIT_USAGE
     capsys.readouterr()
 
 

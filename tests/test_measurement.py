@@ -11,7 +11,6 @@ from relbc.measurement import (
     mixed_density,
     outcome_dist,
     pure_density,
-    sample_outcome,
     sample_outcomes,
     state_povm,
     support_povm,
@@ -180,15 +179,16 @@ def test_bruteforce_double_integral_equivalence(pair):
 
 def test_sample_outcome_degenerate():
     rng = np.random.default_rng(1)
-    assert all(sample_outcome(OutcomeDist(1.0, 0.0, 0.0), rng) == 1 for _ in range(20))
-    assert all(sample_outcome(OutcomeDist(0.0, 0.0, 1.0), rng) == PERP for _ in range(20))
+    dists = (OutcomeDist(1.0, 0.0, 0.0), OutcomeDist(0.0, 0.0, 1.0))
+    bits = [0, 1] * 20
+    assert sample_outcomes(dists, bits, rng).tolist() == [1, PERP] * 20
 
 
 def test_sample_outcome_statistics():
     dist = OutcomeDist(0.3, 0.2, 0.5)
     rng = np.random.default_rng(42)
     n = 100_000
-    out = sample_outcomes(dist, n, rng)
+    out = sample_outcomes((dist,), np.zeros(n, dtype=int), rng)
     for code, p in ((1, 0.3), (2, 0.2), (PERP, 0.5)):
         freq = np.mean(out == code)
         sigma = math.sqrt(p * (1 - p) / n)
@@ -197,9 +197,9 @@ def test_sample_outcome_statistics():
 
 def test_sample_outcome_deterministic():
     dist = OutcomeDist(0.3, 0.2, 0.5)
-    a = [sample_outcome(dist, np.random.default_rng(7)) for _ in range(5)]
-    b = [sample_outcome(dist, np.random.default_rng(7)) for _ in range(5)]
-    assert a == b
+    a = sample_outcomes((dist,), [0] * 5, np.random.default_rng(7))
+    b = sample_outcomes((dist,), [0] * 5, np.random.default_rng(7))
+    assert np.array_equal(a, b)
 
 
 def test_effective_angle():

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relbc.measurement import PERP
+from relbc import attacks, measurement
+from relbc.measurement import PERP, OutcomeDist, sample_outcomes
 from relbc.protocol import (
     ABORT,
     ACCEPT,
@@ -15,7 +18,6 @@ from relbc.protocol import (
     guess_success,
     ident_prob_collective,
     ident_prob_individual,
-    measure_all,
     open_and_verify,
     run_many,
     run_protocol,
@@ -62,12 +64,12 @@ def test_commit_parity_always_matches(config, ctx):
     rng = np.random.default_rng(0)
     for bit in (0, 1):
         for _ in range(50):
-            record, states = commit(config, bit, rng, ctx)
+            record = commit(config, bit, rng)
             assert record.bit == bit
-            assert len(states) == config.n_channels
-            # each launched state is the carrier for its channel bit
-            for b, s in zip(record.channel_bits, states):
-                assert s is ctx.carrier(b)
+            assert len(record.channel_bits) == config.n_channels
+    # each launched state is the carrier for its channel bit
+    assert ctx.carrier(0) is ctx.psi1
+    assert ctx.carrier(1) is ctx.psi2
 
 
 def test_commit_single_channel(config, ctx):
@@ -75,7 +77,7 @@ def test_commit_single_channel(config, ctx):
         n_channels=1, amp1=config.amp1, amp2=config.amp2, t_open=50.0,
     )
     rng = np.random.default_rng(1)
-    record, _ = commit(cfg, 1, rng, ctx)
+    record = commit(cfg, 1, rng)
     assert record.channel_bits == (1,)
 
 
@@ -85,32 +87,31 @@ def test_commit_channel_bits_uniform(config, ctx):
     runs = 4000
     counts = np.zeros(config.n_channels)
     for _ in range(runs):
-        record, _ = commit(config, 1, rng, ctx)
+        record = commit(config, 1, rng)
         counts += record.channel_bits
     sigma = 0.5 * math.sqrt(runs)
     assert np.all(np.abs(counts - runs / 2) < 3 * sigma)
 
 
-def test_measure_all_at_zero_time_is_silent(config, ctx):
+def test_measurement_at_zero_time_is_silent(config, ctx):
     rng = np.random.default_rng(2)
-    _, states = commit(config, 0, rng, ctx)
-    outcomes = measure_all(states, 0.0, ctx, rng)
-    assert outcomes == (PERP,) * config.n_channels
+    record = commit(config, 0, rng)
+    outcomes = sample_outcomes(ctx.outcome_dists(0.0), record.channel_bits, rng)
+    assert tuple(outcomes) == (PERP,) * config.n_channels
 
 
-def test_measure_all_rejects_negative_time(config, ctx):
-    rng = np.random.default_rng(2)
-    _, states = commit(config, 0, rng, ctx)
+def test_measurement_rejects_negative_time(config, ctx):
     with pytest.raises(ValueError, match="non-negative"):
-        measure_all(states, -1.0, ctx, rng)
+        ctx.outcome_dists(-1.0)
 
 
 def test_support_family_never_misfires(config, ctx):
     # honest disjoint-support carriers can never trip the wrong projector
     rng = np.random.default_rng(4)
+    dists = ctx.outcome_dists(config.t_open, family="support")
     for _ in range(200):
-        record, states = commit(config, 0, rng, ctx)
-        outcomes = measure_all(states, config.t_open, ctx, rng, family="support")
+        record = commit(config, 0, rng)
+        outcomes = sample_outcomes(dists, record.channel_bits, rng)
         for b, o in zip(record.channel_bits, outcomes):
             assert o in (PERP, b + 1)
 
@@ -131,7 +132,9 @@ def test_open_and_verify_verdicts(config):
 def test_run_protocol_honest_never_aborts(config, ctx):
     for t in run_many(config, 100, bit=1, ctx=ctx):
         assert t.verdict in (ACCEPT, INCONCLUSIVE)
-        assert t.claims is t.record
+        # A opens exactly what it committed
+        j = t.to_json()
+        assert (j["claimed_bit"], j["claimed_channel_bits"]) == (j["bit"], j["channel_bits"])
 
 
 def test_run_protocol_deterministic(config, ctx):
@@ -150,9 +153,74 @@ def test_run_protocol_fixed_record(config, ctx):
         run_protocol(config, 0, np.random.default_rng(0), ctx, record=record)
 
 
-def test_run_protocol_transmitted_length_check(config, ctx):
-    with pytest.raises(ValueError, match="per channel"):
-        run_protocol(config, 0, np.random.default_rng(0), ctx, transmitted=[ctx.psi1])
+def _reference_outcomes(dists, channel_bits, rng):
+    """The sampling contract, one channel at a time: a single rng.random()
+    per channel, 1 below p1, 2 below p1 + p2, PERP otherwise."""
+    out = []
+    for b in channel_bits:
+        r = rng.random()
+        d = dists[b]
+        out.append(1 if r < d.p1 else 2 if r < d.p1 + d.p2 else PERP)
+    return out
+
+
+@st.composite
+def _outcome_dists(draw):
+    cuts = sorted(draw(st.floats(0.0, 1.0)) for _ in range(2))
+    return OutcomeDist(cuts[0], cuts[1] - cuts[0], 1.0 - cuts[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dists=st.tuples(_outcome_dists(), _outcome_dists()),
+    bits=st.lists(st.integers(0, 1), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampler_matches_scalar_reference(dists, bits, seed):
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert sample_outcomes(dists, bits, rng_a).tolist() == _reference_outcomes(dists, bits, rng_b)
+    # both consumed the same stream, so later draws stay in step
+    assert rng_a.random() == rng_b.random()
+
+
+def _reference_runs(config, runs, bit, dists):
+    """Run i on the stream [seed, i]: the commit draw, then one draw per channel."""
+    out = []
+    for i in range(runs):
+        rng = np.random.default_rng([config.seed, i])
+        record = commit(config, bit, rng)
+        outcomes = tuple(_reference_outcomes(dists, record.channel_bits, rng))
+        out.append((outcomes, open_and_verify(config, record, outcomes, config.t_open)))
+    return out
+
+
+def _direct_dists(ctx, t, sent):
+    povm = measurement.state_povm(ctx.psi1, ctx.psi2, t)
+    return tuple(measurement.outcome_dist(povm, s) for s in sent)
+
+
+@pytest.mark.parametrize("kind", ["honest", "delayed"])
+@pytest.mark.parametrize("bit", [0, 1])
+def test_run_many_follows_stream_contract(config, ctx, kind, bit):
+    sent = attacks.sent_pair(attacks.Strategy(kind=kind, tau0=3.0), ctx)
+    got = run_many(config, 60, bit=bit, ctx=ctx, sent=sent)
+    expect = _reference_runs(config, 60, bit, _direct_dists(ctx, config.t_open, sent))
+    assert [(t.outcomes, t.verdict) for t in got] == expect
+    assert len({v for _, v in expect}) > 1
+
+
+@pytest.mark.parametrize("delay", [20.0, 80.0])
+def test_channel_delay_shortens_the_window(config, ctx, delay):
+    delayed = CommitConfig(
+        n_channels=config.n_channels, amp1=config.amp1, amp2=config.amp2,
+        t_open=config.t_open, seed=config.seed, channel_delay=delay,
+    )
+    t = max(config.t_open - delay, 0.0)
+    dists = _direct_dists(ctx, t, (ctx.psi1, ctx.psi2))
+    assert ctx.outcome_dists(t) == dists
+    assert dists != ctx.outcome_dists(config.t_open)
+    got = run_many(delayed, 60, bit=1, ctx=ctx)
+    assert [(t.outcomes, t.verdict) for t in got] == _reference_runs(delayed, 60, 1, dists)
 
 
 def test_ident_formulas():
