@@ -21,7 +21,9 @@ from .spectra import (
     time_profile,
 )
 from .window import (
+    DenseBudgetError,
     WindowOperator,
+    bilinear_form,
     build_offset_window,
     build_window,
     detect_prob,
@@ -35,7 +37,6 @@ from .measurement import (
     effective_angle,
     mixed_density,
     outcome_dist,
-    pure_density,
     sample_outcomes,
     state_povm,
     support_povm,

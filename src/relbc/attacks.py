@@ -41,7 +41,8 @@ HONEST = Strategy(kind="honest")
 def transmitted_state(strategy: Strategy, claimed_bit: int, ctx: protocol.ProtocolContext):
     """What actually enters the channel when A claims ``claimed_bit``.
 
-    Returns a SampledState, or a density matrix for the mixed strategy.
+    Returns a SampledState, or for the mixed strategy the n x 2 factor F of
+    the half/half mixture rho = F F^H (``measurement.mixed_density``).
     """
     if claimed_bit not in (0, 1):
         raise ValueError("claimed bit must be 0 or 1")
@@ -98,8 +99,8 @@ def sent_pair(strategy: Strategy, ctx: protocol.ProtocolContext):
     """What A ships for channel bits 0 and 1; the mixed sender ships one
     mixture for both, so its distribution is computed once."""
     if strategy.kind == "mixed":
-        rho = transmitted_state(strategy, 0, ctx)
-        return rho, rho
+        factor = transmitted_state(strategy, 0, ctx)
+        return factor, factor
     return transmitted_state(strategy, 0, ctx), transmitted_state(strategy, 1, ctx)
 
 
@@ -163,7 +164,7 @@ def required_bandwidth(
     """Bandwidth making the collective attack epsilon-harmless up to t_c.
 
     Solves p(t_c)^(N/2) <= 2*epsilon for the largest compliant delta by
-    bisection against the kernel-matrix detect probability; the returned
+    bisection against the window's detect probability; the returned
     bandwidth satisfies the bound by construction (the bracket's low end).
     """
     if not 0.0 < epsilon < 0.5:

@@ -68,6 +68,22 @@ def _floats(values) -> list[float]:
     return [float(v) for v in values]
 
 
+def _positive(values) -> list[float]:
+    values = _floats(values)
+    for v in values:
+        if not v > 0:
+            raise ValueError(f"entries must be positive, got {v!r}")
+    return values
+
+
+def _non_negative(values) -> list[float]:
+    values = _floats(values)
+    for v in values:
+        if not v >= 0:
+            raise ValueError(f"entries must be non-negative, got {v!r}")
+    return values
+
+
 def _shapes(values) -> list[str]:
     values = list(values)
     for v in values:
@@ -123,8 +139,8 @@ def _fmt(v) -> str:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     shapes = _require(cfg, "shapes", _shapes, default=["rectangular"])
-    deltas = _require(cfg, "deltas", _floats, default=[1.0])
-    times = _require(cfg, "times", _floats, default=[0.0])
+    deltas = _require(cfg, "deltas", _positive, default=[1.0])
+    times = _require(cfg, "times", _non_negative, default=[0.0])
     k_c = _require(cfg, "k_c", default=10.0)
     rows = []
     for shape in shapes:
@@ -220,7 +236,7 @@ def cmd_attack(args) -> int:
     config = _protocol_config(cfg, args.seed)
     strategy = _strategy(cfg)
     ctx = protocol.ProtocolContext(config)
-    times = _require(cfg, "times", _floats, default=[config.t_open])
+    times = _require(cfg, "times", _non_negative, default=[config.t_open])
     n = config.n_channels
     param = strategy.tau0 if strategy.kind == "delayed" else config.t_probe
     early = {}  # B's advantage per probe time; rows past t_probe share one
@@ -253,9 +269,10 @@ def cmd_validate(args) -> int:
                 povm = measurement.support_povm(grid, amp1.support, amp2.support, T)
             else:
                 povm = measurement.state_povm(psi1, psi2, T)
+            elements = povm.elements
             if args.inject_corruption:
-                povm.m1[0, -1] = -povm.m1[0, -1] - 0.5
-            report = oracle.povm_validity_bruteforce(povm)
+                elements[0][0, -1] = -elements[0][0, -1] - 0.5
+            report = oracle.povm_validity_bruteforce(povm, elements)
             ok = report["passed"]
             failures += not ok
             lines.append(

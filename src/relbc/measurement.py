@@ -8,7 +8,13 @@ Two families are shipped:
 * ``state``: M_i = W_T |psi_i><psi_i| W_T.  Phase-sensitive; this is the
   verifier's tool against delayed (time-shifted) states.
 
-Both resolve the identity exactly: M_perp := I - M_1 - M_2.
+Both resolve the identity exactly: M_perp := I - M_1 - M_2.  The elements
+are never stored: a POVM keeps its window and its two references (support
+masks or reference states), and ``outcome_dist`` evaluates each
+probability as a bilinear form of the window (``window.bilinear_form``).
+A mixed input is passed as its n x r factor F, rho = F F^H.  The dense
+elements (``Povm.elements``) are computed on access for brute-force checks
+on small grids.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectra import KGrid, SampledState, overlap
-from .window import build_window
+from .window import WindowOperator, bilinear_form, build_window
 
 PERP = 0  # outcome code for the inconclusive channel
 
@@ -45,16 +51,33 @@ class OutcomeDist:
 
 @dataclass(frozen=True)
 class Povm:
+    """{M_1, M_2, M_perp} kept as the window plus two references.
+
+    ``refs`` are the 0/1 indicator vectors of E_1, E_2 (support family) or
+    the weighted reference states psi_1, psi_2 (state family).
+    """
+
     family: str
-    m1: np.ndarray
-    m2: np.ndarray
-    m_perp: np.ndarray
-    T: float
-    grid: KGrid
+    window: WindowOperator
+    refs: tuple[np.ndarray, np.ndarray]
 
     @property
-    def elements(self):
-        return (self.m1, self.m2, self.m_perp)
+    def T(self) -> float:
+        return self.window.T
+
+    @property
+    def grid(self) -> KGrid:
+        return self.window.grid
+
+    @property
+    def elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dense (M_1, M_2, M_perp), computed on access (small grids only)."""
+        w = self.window.matrix
+        if self.family == "support":
+            m1, m2 = (w * np.outer(ind, ind) for ind in self.refs)
+        else:
+            m1, m2 = (np.outer(b, np.conj(b)) for b in (w @ ref for ref in self.refs))
+        return m1, m2, np.eye(self.grid.size) - m1 - m2
 
 
 def support_povm(grid: KGrid, e1, e2, T: float) -> Povm:
@@ -62,42 +85,34 @@ def support_povm(grid: KGrid, e1, e2, T: float) -> Povm:
     (lo1, hi1), (lo2, hi2) = (map(float, e1), map(float, e2))
     if max(lo1, lo2) < min(hi1, hi2):
         raise ValueError("support intervals overlap")
-    w = build_window(grid, T)
     ind1 = ((grid.nodes > lo1) & (grid.nodes < hi1)).astype(float)
     ind2 = ((grid.nodes > lo2) & (grid.nodes < hi2)).astype(float)
-    m1 = w.matrix * np.outer(ind1, ind1)
-    m2 = w.matrix * np.outer(ind2, ind2)
-    m_perp = np.eye(grid.size) - m1 - m2
-    return Povm(family="support", m1=m1, m2=m2, m_perp=m_perp, T=T, grid=grid)
+    return Povm(family="support", window=build_window(grid, T), refs=(ind1, ind2))
 
 
 def state_povm(psi1: SampledState, psi2: SampledState, T: float) -> Povm:
     """State-projector family: M_i = W_T |psi_i><psi_i| W_T."""
     if abs(overlap(psi1, psi2)) > 1e-8:
         raise ValueError("reference states must be orthogonal")
-    grid = psi1.grid
-    w = build_window(grid, T)
-    b1 = w.matrix @ psi1.weighted()
-    b2 = w.matrix @ psi2.weighted()
-    m1 = np.outer(b1, np.conj(b1))
-    m2 = np.outer(b2, np.conj(b2))
-    m_perp = np.eye(grid.size) - m1 - m2
-    return Povm(family="state", m1=m1, m2=m2, m_perp=m_perp, T=T, grid=grid)
-
-
-def pure_density(state: SampledState) -> np.ndarray:
-    """Rank-one density matrix in the weighted basis."""
-    u = state.weighted()
-    return np.outer(u, np.conj(u))
+    return Povm(
+        family="state",
+        window=build_window(psi1.grid, T),
+        refs=(psi1.weighted(), psi2.weighted()),
+    )
 
 
 def mixed_density(states, weights=None) -> np.ndarray:
-    """Convex mixture of pure states; defaults to equal weights (unit trace)."""
+    """Factor F of the convex mixture rho = sum_j w_j |u_j><u_j| = F F^H.
+
+    Column j is sqrt(w_j) u_j in the weighted basis; weights default to
+    equal (unit trace).
+    """
     states = list(states)
     if weights is None:
         weights = [1.0 / len(states)] * len(states)
-    rho = sum(wt * pure_density(s) for wt, s in zip(weights, states))
-    return rho
+    if any(not wt >= 0 for wt in weights):
+        raise ValueError("mixture weights must be non-negative")
+    return np.column_stack([math.sqrt(wt) * s.weighted() for wt, s in zip(weights, states)])
 
 
 def _clamp_prob(p: float, label: str) -> float:
@@ -106,21 +121,46 @@ def _clamp_prob(p: float, label: str) -> float:
     return max(p, 0.0)
 
 
-def outcome_dist(povm: Povm, state_or_density) -> OutcomeDist:
-    """Outcome probabilities p_o = Tr(rho M_o) for a pure or mixed input."""
-    if isinstance(state_or_density, SampledState):
-        u = state_or_density.weighted()
-        if u.size != povm.grid.size:
+def _factor(povm: Povm, state_or_factor) -> np.ndarray:
+    """The n x r factor F of the input (r = 1 for a pure state)."""
+    n = povm.grid.size
+    if isinstance(state_or_factor, SampledState):
+        u = state_or_factor.weighted()
+        if u.size != n:
             raise ValueError("state dimension does not match the POVM grid")
-        probs = [float(np.real(np.vdot(u, m @ u))) for m in povm.elements]
+        return u[:, None]
+    f = np.asarray(state_or_factor)
+    if f.ndim != 2 or f.shape[0] != n:
+        raise ValueError("density factor must be an n x r array on the POVM grid")
+    if f.shape[1] == n:
+        raise ValueError(
+            "outcome_dist takes the n x r factor F of rho = F F^H, "
+            "not an n x n density matrix"
+        )
+    return f
+
+
+def outcome_dist(povm: Povm, state_or_factor) -> OutcomeDist:
+    """Outcome probabilities p_o = Tr(F^H M_o F) for a pure state or a factor F.
+
+    State family: p_i = ||psi_i^H W F||^2.  Support family:
+    p_i = Tr((P_i F)^H W (P_i F)), evaluated on E_i only, so a carrier with
+    no weight on E_i gives exactly 0.0.  p_perp = Tr(rho) - p1 - p2, with
+    Tr(rho) = ||F||_F^2 checked to be 1.
+    """
+    f = _factor(povm, state_or_factor)
+    tr = float(np.sum(np.abs(f) ** 2))
+    if abs(tr - 1.0) > 1e-8:
+        raise ValueError(f"density matrix trace {tr} != 1")
+    if povm.family == "support":
+        probs = [
+            float(np.real(np.trace(bilinear_form(povm.window, pf, pf))))
+            for pf in (ind[:, None] * f for ind in povm.refs)
+        ]
     else:
-        rho = np.asarray(state_or_density)
-        if rho.shape != (povm.grid.size, povm.grid.size):
-            raise ValueError("density matrix dimension does not match the POVM grid")
-        tr = float(np.real(np.trace(rho)))
-        if abs(tr - 1.0) > 1e-8:
-            raise ValueError(f"density matrix trace {tr} != 1")
-        probs = [float(np.real(np.einsum("ij,ji->", rho, m))) for m in povm.elements]
+        g = bilinear_form(povm.window, np.column_stack(povm.refs), f)
+        probs = [float(np.sum(np.abs(row) ** 2)) for row in g]
+    probs.append(tr - probs[0] - probs[1])
     p1, p2, pp = (_clamp_prob(p, lbl) for p, lbl in zip(probs, ("p1", "p2", "p_perp")))
     total = p1 + p2 + pp
     if abs(total - 1.0) > 1e-8:

@@ -1,7 +1,7 @@
 """Independent brute-force cross-checks.
 
 Everything here recomputes detection probabilities and POVM properties by
-routes that never touch the kernel-matrix code in ``window`` or
+routes that never touch the bilinear-form code in ``window`` or
 ``measurement``: closed forms via a local sine integral, direct time-domain
 quadrature, full eigendecompositions, and exhaustive parity enumeration.
 """
@@ -124,18 +124,24 @@ def detect_prob_time_domain(
     return prev
 
 
-def povm_validity_bruteforce(povm) -> dict:
-    """Eigendecompose every element and the sum; report positivity/completeness."""
+def povm_validity_bruteforce(povm, elements=None) -> dict:
+    """Eigendecompose every element and the sum; report positivity/completeness.
+
+    ``elements`` are the dense (M_1, M_2, M_perp) to check; ``povm.elements``
+    by default.
+    """
+    elements = povm.elements if elements is None else elements
     report = {"family": povm.family, "T": povm.T, "elements": {}}
     min_eig = math.inf
-    for name, m in zip(("m1", "m2", "m_perp"), povm.elements):
+    for name, m in zip(("m1", "m2", "m_perp"), elements):
         vals = np.linalg.eigvalsh(m)
         report["elements"][name] = {
             "min_eig": float(vals[0]),
             "max_eig": float(vals[-1]),
         }
         min_eig = min(min_eig, float(vals[0]))
-    total = povm.m1 + povm.m2 + povm.m_perp
+    m1, m2, m_perp = elements
+    total = m1 + m2 + m_perp
     residual = float(np.max(np.abs(total - np.eye(total.shape[0]))))
     report["min_eigenvalue"] = min_eig
     report["completeness_residual"] = residual

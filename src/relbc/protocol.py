@@ -119,9 +119,9 @@ class ProtocolContext:
     ) -> tuple[measurement.OutcomeDist, measurement.OutcomeDist]:
         """Outcome distributions at window parameter t for channel bits 0 and 1.
 
-        ``sent`` is what the sender ships for each channel bit (a state or a
-        density matrix); the honest carriers by default.  The POVM is built
-        once and dropped on return.
+        ``sent`` is what the sender ships for each channel bit (a state or
+        the n x r factor of a density matrix); the honest carriers by
+        default.  The POVM is built once and dropped on return.
         """
         povm = self.povm(t, family)
         s0, s1 = (self.psi1, self.psi2) if sent is None else sent
@@ -191,6 +191,11 @@ def run_protocol(
         record = commit(config, bit, rng)
     elif record.bit != bit:
         raise ValueError("record parity does not match the committed bit")
+    elif len(record.channel_bits) != config.n_channels:
+        raise ValueError(
+            f"record has {len(record.channel_bits)} channel bits, "
+            f"config has {config.n_channels} channels"
+        )
     if dists is None:
         ctx = ctx or ProtocolContext(config)
         dists = ctx.outcome_dists(config.open_window)

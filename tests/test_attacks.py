@@ -65,8 +65,9 @@ def test_transmitted_state_delayed(ctx):
 
 
 def test_transmitted_state_mixed(ctx):
-    rho = transmitted_state(Strategy(kind="mixed"), 0, ctx)
-    assert isinstance(rho, np.ndarray) and rho.ndim == 2
+    factor = transmitted_state(Strategy(kind="mixed"), 0, ctx)
+    assert isinstance(factor, np.ndarray) and factor.shape == (ctx.grid.size, 2)
+    rho = factor @ factor.conj().T
     u1, u2 = ctx.psi1.weighted(), ctx.psi2.weighted()
     assert np.allclose(rho, 0.5 * np.outer(u1, u1.conj()) + 0.5 * np.outer(u2, u2.conj()))
 

@@ -195,6 +195,14 @@ def test_exit_codes(tmp_path, capsys):
         ("early", "run", dict(RUN_CFG, adversary="early_measure")),
     ):
         assert main([cmd, "--config", _write(tmp_path, cfg, f"{name}.json")]) == EXIT_CONFIG
+    # bad values that used to surface as invariant violations name their key
+    for name, cmd, cfg, key in (
+        ("delta0", "sweep", dict(SWEEP_CFG, deltas=[0.0]), "'deltas'"),
+        ("negtime", "attack", dict(RUN_CFG, times=[-1.0]), "'times'"),
+    ):
+        capsys.readouterr()
+        assert main([cmd, "--config", _write(tmp_path, cfg, f"{name}.json")]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
     # the old advisory --jobs option is gone
     assert main(["run", "--config", _write(tmp_path, RUN_CFG), "--jobs", "2"]) == EXIT_USAGE
     capsys.readouterr()

@@ -1,0 +1,153 @@
+"""The matrix-free window forms against the dense matrices they replace.
+
+Every production probability is a bilinear form of the window operator
+evaluated block by block; the dense ``WindowOperator.matrix`` and
+``Povm.elements`` remain for small-grid checks only.  These tests pin the
+forms to Tr(rho M) and u^H W u from the dense matrices, bound the memory
+of one large-grid distribution, and check that dense materialisation past
+the budget fails before it allocates.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from relbc import attacks, measurement
+from relbc.protocol import CommitConfig, ProtocolContext
+from relbc.spectra import disjoint_pair, gauss_legendre_grid, make_amplitude, sample
+from relbc.window import (
+    DENSE_MAX_N,
+    DenseBudgetError,
+    build_window,
+    detect_prob,
+    window_spectrum,
+)
+
+AGREE_ABS = 1e-12
+
+
+def _context(t_open: float) -> ProtocolContext:
+    """The README's two carriers (12, 10), delta = 1."""
+    amp1, amp2 = disjoint_pair(12.0, 10.0, 1.0)
+    return ProtocolContext(CommitConfig(n_channels=5, amp1=amp1, amp2=amp2, t_open=t_open))
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    c = _context(10.0)
+    assert c.grid.size == 768
+    return c
+
+
+def _inputs(ctx, tau0, wrong_kc, wrong_delta):
+    return {
+        "honest": ctx.psi1,
+        "delayed": sample(ctx.config.amp1.delayed(tau0), ctx.grid),
+        "wrong_state": sample(make_amplitude("raised-cosine", wrong_kc, wrong_delta), ctx.grid),
+        "mixed": measurement.mixed_density([ctx.psi1, ctx.psi2]),
+    }
+
+
+def _dense_probs(elements, sent):
+    if isinstance(sent, np.ndarray):
+        return [float(np.real(np.trace(sent.conj().T @ m @ sent))) for m in elements]
+    u = sent.weighted()
+    return [float(np.real(np.vdot(u, m @ u))) for m in elements]
+
+
+# each example materialises dense elements, so a failure is reported as
+# drawn instead of being shrunk through hundreds of such examples
+@settings(max_examples=12, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(
+    log_t=st.floats(min_value=-2.0, max_value=2.0),
+    tau0=st.floats(min_value=0.5, max_value=10.0),
+    wrong_delta=st.floats(min_value=0.6, max_value=1.0),
+    wrong_pos=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_forms_match_dense_matrices(ctx, log_t, tau0, wrong_delta, wrong_pos):
+    T = 10.0**log_t
+    lo, hi = 9.5 + wrong_delta / 2, 12.5 - wrong_delta / 2
+    sent = _inputs(ctx, tau0, lo + wrong_pos * (hi - lo), wrong_delta)
+    for family in ("support", "state"):
+        povm = ctx.povm(T, family)
+        elements = povm.elements
+        for name, s in sent.items():
+            dist = measurement.outcome_dist(povm, s).as_array()
+            dense = np.array(_dense_probs(elements, s))
+            assert np.max(np.abs(dist - dense)) <= AGREE_ABS, (family, name, T)
+    w = build_window(ctx.grid, T)
+    matrix = w.matrix
+    for s in (sent["honest"], sent["delayed"], sent["wrong_state"]):
+        u = s.weighted()
+        assert abs(detect_prob(w, s) - float(np.real(np.vdot(u, matrix @ u)))) <= AGREE_ABS
+    # disjoint supports: the support family's cross-probabilities are exact zeros
+    support = ctx.povm(T, "support")
+    for s, wrong in ((ctx.psi1, "p2"), (sent["delayed"], "p2"), (ctx.psi2, "p1")):
+        assert getattr(measurement.outcome_dist(support, s), wrong) == 0.0
+
+
+def test_outcome_dist_rejects_dense_density(ctx):
+    povm = ctx.povm(1.0, "state")
+    factor = measurement.mixed_density([ctx.psi1, ctx.psi2])
+    with pytest.raises(ValueError, match="factor"):
+        measurement.outcome_dist(povm, factor @ factor.conj().T)
+
+
+def test_mixed_distribution_memory_at_n3072():
+    ctx = _context(1e3)
+    assert ctx.grid.size == 3072
+    mixed = attacks.Strategy(kind="mixed")
+    tracemalloc.start()
+    try:
+        ctx.outcome_dists(1e3, attacks.sent_pair(mixed, ctx), "state")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one dense complex matrix at this n is 151 MB
+    assert peak < 64 * 2**20, peak
+
+
+@pytest.fixture(scope="module")
+def big_grid():
+    """20 panels of 256 nodes on [9, 13]: past the dense budget, cheap to build."""
+    edges = np.linspace(9.0, 13.0, 21)
+    grid = gauss_legendre_grid(list(zip(edges[:-1], edges[1:])), 256)
+    assert grid.size == 5120 > DENSE_MAX_N
+    return grid
+
+
+def _fails_without_allocating(fn, n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseBudgetError) as info:
+            fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = info.value
+    assert isinstance(err, ValueError)
+    assert err.n == n and err.bytes_needed == n * n * 16
+    assert str(n) in str(err) and str(n * n * 16) in str(err)
+    assert peak < 2**20, peak
+
+
+def test_dense_materialisation_fails_fast(big_grid):
+    n = big_grid.size
+    a1, a2 = disjoint_pair(12.0, 10.0, 1.0)
+    s1, s2 = sample(a1, big_grid), sample(a2, big_grid)
+    w = build_window(big_grid, 5.0)
+    support = measurement.support_povm(big_grid, a1.support, a2.support, 5.0)
+    state = measurement.state_povm(s1, s2, 5.0)
+    _fails_without_allocating(lambda: w.matrix, n)
+    _fails_without_allocating(lambda: window_spectrum(w), n)
+    _fails_without_allocating(lambda: support.elements, n)
+    _fails_without_allocating(lambda: state.elements, n)
+    # the forms themselves still work on this grid
+    assert 0.0 < detect_prob(w, s1) < 1.0
+    d = measurement.outcome_dist(support, s1)
+    assert d.p2 == 0.0 and math.isclose(d.p1, detect_prob(w, s1), abs_tol=1e-12)

@@ -10,7 +10,6 @@ from relbc.measurement import (
     effective_angle,
     mixed_density,
     outcome_dist,
-    pure_density,
     sample_outcomes,
     state_povm,
     support_povm,
@@ -29,7 +28,8 @@ def pair():
 def test_support_povm_completeness_exact(pair):
     a1, a2, grid, *_ = pair
     povm = support_povm(grid, a1.support, a2.support, 2.0)
-    total = povm.m1 + povm.m2 + povm.m_perp
+    m1, m2, m_perp = povm.elements
+    total = m1 + m2 + m_perp
     assert np.array_equal(total, np.eye(grid.size))
 
 
@@ -99,7 +99,7 @@ def test_state_povm_rejects_nonorthogonal(pair):
 def test_state_povm_perp_positive(pair, T):
     *_, s1, s2 = pair
     povm = state_povm(s1, s2, T)
-    assert np.linalg.eigvalsh(povm.m_perp)[0] >= -1e-9
+    assert np.linalg.eigvalsh(povm.elements[2])[0] >= -1e-9
 
 
 def test_state_povm_detects_delay(pair):
@@ -145,10 +145,10 @@ def test_support_povm_phase_sensitivity_decays(pair):
 
 def test_mixed_density_trace_and_linearity(pair):
     a1, a2, grid, s1, s2 = pair
-    rho = mixed_density([s1, s2])
-    assert abs(np.trace(rho) - 1.0) < 1e-12
+    factor = mixed_density([s1, s2])
+    assert abs(np.trace(factor @ factor.conj().T) - 1.0) < 1e-12
     povm = support_povm(grid, a1.support, a2.support, 5.0)
-    d = outcome_dist(povm, rho)
+    d = outcome_dist(povm, factor)
     p_det = detect_prob(build_window(grid, 5.0), s1)
     assert abs(d.p1 - p_det / 2) < 1e-10
     assert abs(d.p2 - p_det / 2) < 1e-10
@@ -158,11 +158,11 @@ def test_outcome_dist_rejects_bad_trace(pair):
     a1, a2, grid, s1, _ = pair
     povm = support_povm(grid, a1.support, a2.support, 1.0)
     with pytest.raises(ValueError, match="trace"):
-        outcome_dist(povm, 2.0 * pure_density(s1))
+        outcome_dist(povm, mixed_density([s1], [2.0]))
 
 
 def test_bruteforce_double_integral_equivalence(pair):
-    # dense-matrix trace vs direct quadrature double integral of the kernel
+    # window form vs direct quadrature double integral of the kernel
     a1, a2, grid, s1, _ = pair
     T = 2.0
     povm = support_povm(grid, a1.support, a2.support, T)

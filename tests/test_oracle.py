@@ -122,13 +122,10 @@ def test_povm_validity_passes_for_honest_construction():
 
 def test_povm_validity_catches_corruption():
     povm, _ = _build_povms()
-    bad = np.array(povm.m1)
+    m1, m2, m_perp = povm.elements
+    bad = np.array(m1)
     bad[0, -1] += 1e-3
-    broken = type(povm)(
-        family=povm.family, m1=bad, m2=povm.m2, m_perp=povm.m_perp,
-        T=povm.T, grid=povm.grid,
-    )
-    report = povm_validity_bruteforce(broken)
+    report = povm_validity_bruteforce(povm, (bad, m2, m_perp))
     assert not report["passed"]
 
 

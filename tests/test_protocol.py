@@ -153,6 +153,13 @@ def test_run_protocol_fixed_record(config, ctx):
         run_protocol(config, 0, np.random.default_rng(0), ctx, record=record)
 
 
+def test_run_protocol_record_length_check(config, ctx):
+    # one channel bit on a three-channel config is not a record of this commit
+    short = CommitRecord(bit=1, channel_bits=(1,))
+    with pytest.raises(ValueError, match="channel"):
+        run_protocol(config, 1, np.random.default_rng(0), ctx, record=short)
+
+
 def _reference_outcomes(dists, channel_bits, rng):
     """The sampling contract, one channel at a time: a single rng.random()
     per channel, 1 below p1, 2 below p1 + p2, PERP otherwise."""
