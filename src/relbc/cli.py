@@ -145,7 +145,10 @@ def cmd_sweep(args) -> int:
     rows = []
     for shape in shapes:
         for delta in deltas:
-            amp = make_amplitude(shape, k_c * delta, delta)
+            try:
+                amp = make_amplitude(shape, k_c * delta, delta)
+            except ValueError as exc:
+                raise ConfigError(f"config key 'k_c': {exc}") from exc
             grid = grid_for_amplitudes([amp], T=max(times, default=0.0))
             state = sample(amp, grid)
             for t in sorted(times):
@@ -235,8 +238,15 @@ def cmd_attack(args) -> int:
     cfg = _load_config(args.config)
     config = _protocol_config(cfg, args.seed)
     strategy = _strategy(cfg)
-    ctx = protocol.ProtocolContext(config)
     times = _require(cfg, "times", _non_negative, default=[config.t_open])
+    # the grid is resolved for windows up to t_open only
+    late = [t for t in times if t > config.t_open]
+    if late:
+        raise ConfigError(
+            f"config key 'times': entries must lie within [0, t_open = {config.t_open!r}], "
+            f"got {late[0]!r}"
+        )
+    ctx = protocol.ProtocolContext(config)
     n = config.n_channels
     param = strategy.tau0 if strategy.kind == "delayed" else config.t_probe
     early = {}  # B's advantage per probe time; rows past t_probe share one

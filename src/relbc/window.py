@@ -6,12 +6,16 @@ normalized state is the detection probability inside the window (-T, T):
 the fraction of the wavepacket's energy the apparatus has causal access to.
 
 The operator is held as (grid, T, center) and never stored as a matrix.
-Every probability is a bilinear form A^H W B (``bilinear_form``), which
-evaluates kernel entries only between the nonzero rows of A and of B, one
-row block of at most ``_BLOCK_ENTRIES`` entries at a time, so its memory
-stays O(n) on any grid.  The dense matrix (``WindowOperator.matrix``) is
-computed on access for the spectrum and small-grid checks, and is refused
-past ``DENSE_MAX_N`` nodes before anything is allocated.
+Every probability is a bilinear form A^H W B (``bilinear_form``) over the
+nonzero rows of A and of B only.  The form splits the kernel as
+sin((k - k')T) = sin(kT) cos(k'T) - cos(kT) sin(k'T), so it takes O(n)
+sines and cosines once and then only the T-independent Cauchy entries
+1/(k - k'), one row block of at most ``_BLOCK_ENTRIES`` entries at a time:
+its memory stays O(n) on any grid.  The dense matrix
+(``WindowOperator.matrix``) uses the direct kernel; it is computed on
+access for the spectrum and small-grid checks, where it is the reference
+the forms are tested against, and is refused past ``DENSE_MAX_N`` nodes
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .spectra import KGrid, SampledState
 
 _EIG_SLACK = 1e-9
 
-# Kernel entries evaluated at once by bilinear_form (16 MiB as complex128).
+# Cauchy entries evaluated at once by bilinear_form (8 MiB as float64).
 _BLOCK_ENTRIES = 1 << 20
 
 # Largest grid whose dense n x n matrices may be materialised: one complex
@@ -56,7 +60,9 @@ class WindowOperator:
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Weighted kernel entries W[rows, cols] for index arrays rows, cols.
 
-        Real for a centred window, complex (the phase exp(i (k - k') center))
+        The direct sin((k - k')T) / (pi (k - k')) kernel, independent of the
+        split ``bilinear_form`` uses; it builds ``matrix``.  Real for a
+        centred window, complex (the phase exp(i (k - k') center))
         otherwise; T = inf gives the identity.
         """
         if math.isinf(self.T):
@@ -108,31 +114,67 @@ def build_offset_window(grid: KGrid, tau_a: float, tau_b: float) -> WindowOperat
     )
 
 
-def _matmul(kern: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """kern @ x without casting a real kernel block to complex."""
-    if np.iscomplexobj(kern) or not np.iscomplexobj(x):
-        return kern @ x
-    # a complex (m, r) array is a real (m, 2r) one with interleaved parts
-    return (kern @ np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
-
-
 def bilinear_form(w: WindowOperator, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A^H W B for (n, r_a) and (n, r_b) column blocks; returns (r_a, r_b).
 
-    Kernel entries are evaluated only between the nonzero rows of A and of B,
-    in row blocks of at most _BLOCK_ENTRIES entries, so a block that is
-    identically zero (disjoint supports) contributes an exact 0.0.
+    Only the nonzero rows of A and of B take part, so disjoint supports give
+    an exact 0.0.  With phi = (k - k_ref) T about the grid midpoint k_ref,
+    sin((k - k')T) = sin(phi) cos(phi') - cos(phi) sin(phi'), so
+
+        A^H W B = [(sA)^H C (cB) - (cA)^H C (sB)] / pi + (T / pi) sum_i A_i^* B_i,
+
+    where A and B are scaled by sqrt(w) (and, off centre, by
+    exp(-i (k - k_ref) center)), s and c are sin(phi) and cos(phi) on their
+    rows, and C = 1/(k - k') with a zero diagonal.  The O(n) sines and
+    cosines are taken once per form; the Cauchy block C is built in row
+    blocks of at most _BLOCK_ENTRIES entries.
     """
     rows = np.flatnonzero(np.any(a != 0, axis=1))
     cols = np.flatnonzero(np.any(b != 0, axis=1))
     out = np.zeros((a.shape[1], b.shape[1]), dtype=complex)
     if rows.size == 0 or cols.size == 0:
         return out
-    b_cols = b[cols]
+    common = np.intersect1d(rows, cols, assume_unique=True)
+    if math.isinf(w.T):
+        out += a[common].conj().T @ b[common]
+        return out
+    k = w.grid.nodes
+    # k - k_ref is exact where k lies within a factor 2 of k_ref
+    x = k - 0.5 * (w.grid.k_min + w.grid.k_max)
+    sw = np.sqrt(w.grid.weights)
+
+    def scaled(m, idx):
+        f = (m[idx] * sw[idx, None]).astype(complex)
+        if w.center != 0.0:
+            f *= np.exp(-1j * w.center * x[idx])[:, None]
+        return f
+
+    a_t, b_t = scaled(a, rows), scaled(b, cols)
+    phi_r, phi_c = x[rows] * w.T, x[cols] * w.T
+    s_a = np.sin(phi_r)[:, None] * a_t
+    c_a = np.cos(phi_r)[:, None] * a_t
+    # [c B, s B] as a real (n_c, 4 r_b) array, so each block is one real GEMM
+    cs_b = np.hstack([np.cos(phi_c)[:, None] * b_t, np.sin(phi_c)[:, None] * b_t])
+    cs_b = cs_b.view(np.float64)
+    r_b = b.shape[1]
+    # positions where a row meets its own column (k = k'): C is zero there,
+    # and the removable singularity is the (T / pi) sum term
+    diag_r = np.searchsorted(rows, common)
+    diag_c = np.searchsorted(cols, common)
+    k_c = k[cols]
     step = max(1, _BLOCK_ENTRIES // cols.size)
     for start in range(0, rows.size, step):
-        r = rows[start:start + step]
-        out += a[r].conj().T @ _matmul(w.block(r, cols), b_cols)
+        stop = start + step
+        cauchy = np.subtract.outer(k[rows[start:stop]], k_c)
+        on = (diag_r >= start) & (diag_r < stop)
+        cauchy[diag_r[on] - start, diag_c[on]] = 1.0  # not 0: no division by zero
+        np.reciprocal(cauchy, out=cauchy)
+        cauchy[diag_r[on] - start, diag_c[on]] = 0.0
+        g = (cauchy @ cs_b).view(np.complex128)
+        out += s_a[start:stop].conj().T @ g[:, :r_b]
+        out -= c_a[start:stop].conj().T @ g[:, r_b:]
+    out += w.T * (a_t[diag_r].conj().T @ b_t[diag_c])
+    out /= math.pi
     return out
 
 

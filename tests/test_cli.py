@@ -196,13 +196,17 @@ def test_exit_codes(tmp_path, capsys):
     ):
         assert main([cmd, "--config", _write(tmp_path, cfg, f"{name}.json")]) == EXIT_CONFIG
     # bad values that used to surface as invariant violations name their key
-    for name, cmd, cfg, key in (
-        ("delta0", "sweep", dict(SWEEP_CFG, deltas=[0.0]), "'deltas'"),
-        ("negtime", "attack", dict(RUN_CFG, times=[-1.0]), "'times'"),
+    for name, cmd, cfg, named in (
+        ("delta0", "sweep", dict(SWEEP_CFG, deltas=[0.0]), ("'deltas'",)),
+        ("negtime", "attack", dict(RUN_CFG, times=[-1.0]), ("'times'",)),
+        ("kc", "sweep", {"k_c": 0.4, "deltas": [1.0], "times": [1.0]}, ("'k_c'",)),
+        # the grid is resolved for windows up to t_open only
+        ("late", "attack", dict(RUN_CFG, times=[1.0, 1000.0]), ("'times'", "t_open = 20.0")),
     ):
         capsys.readouterr()
         assert main([cmd, "--config", _write(tmp_path, cfg, f"{name}.json")]) == EXIT_CONFIG
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(part in err for part in named), err
     # the old advisory --jobs option is gone
     assert main(["run", "--config", _write(tmp_path, RUN_CFG), "--jobs", "2"]) == EXIT_USAGE
     capsys.readouterr()

@@ -1,9 +1,10 @@
 """The matrix-free window forms against the dense matrices they replace.
 
 Every production probability is a bilinear form of the window operator
-evaluated block by block; the dense ``WindowOperator.matrix`` and
-``Povm.elements`` remain for small-grid checks only.  These tests pin the
-forms to Tr(rho M) and u^H W u from the dense matrices, bound the memory
+evaluated block by block through the Cauchy split of its kernel; the dense
+``WindowOperator.matrix`` and ``Povm.elements`` use the direct kernel and
+remain for small-grid checks only.  These tests pin the forms to
+Tr(rho M) and u^H W u from the dense matrices, bound the memory
 of one large-grid distribution, and check that dense materialisation past
 the budget fails before it allocates.
 """
@@ -22,6 +23,7 @@ from relbc.spectra import disjoint_pair, gauss_legendre_grid, make_amplitude, sa
 from relbc.window import (
     DENSE_MAX_N,
     DenseBudgetError,
+    build_offset_window,
     build_window,
     detect_prob,
     window_spectrum,
@@ -86,6 +88,37 @@ def test_forms_match_dense_matrices(ctx, log_t, tau0, wrong_delta, wrong_pos):
         u = s.weighted()
         assert abs(detect_prob(w, s) - float(np.real(np.vdot(u, matrix @ u)))) <= AGREE_ABS
     # disjoint supports: the support family's cross-probabilities are exact zeros
+    support = ctx.povm(T, "support")
+    for s, wrong in ((ctx.psi1, "p2"), (sent["delayed"], "p2"), (ctx.psi2, "p1")):
+        assert getattr(measurement.outcome_dist(support, s), wrong) == 0.0
+
+
+@pytest.fixture(scope="module")
+def ctx3072():
+    c = _context(1e3)
+    assert c.grid.size == 3072 <= DENSE_MAX_N
+    return c
+
+
+@pytest.mark.parametrize("T", [1e-3, 1e3])
+def test_forms_match_dense_matrices_at_n3072(ctx3072, T):
+    # the largest dense-checkable grid, at both ends of its window range:
+    # phases (k - k_ref) T up to 1.5e3, and near-cancelling sines at 1e-3
+    ctx = ctx3072
+    sent = _inputs(ctx, 7.5, 11.0, 0.8)
+    for family in ("support", "state"):
+        povm = ctx.povm(T, family)
+        elements = povm.elements
+        for name, s in sent.items():
+            dist = measurement.outcome_dist(povm, s).as_array()
+            dense = np.array(_dense_probs(elements, s))
+            assert np.max(np.abs(dist - dense)) <= AGREE_ABS, (family, name)
+        del elements
+    w = build_offset_window(ctx.grid, 0.3 * T - T, 0.3 * T + T)
+    matrix = w.matrix
+    for s in (sent["honest"], sent["delayed"], sent["wrong_state"]):
+        u = s.weighted()
+        assert abs(detect_prob(w, s) - float(np.real(np.vdot(u, matrix @ u)))) <= AGREE_ABS
     support = ctx.povm(T, "support")
     for s, wrong in ((ctx.psi1, "p2"), (sent["delayed"], "p2"), (ctx.psi2, "p1")):
         assert getattr(measurement.outcome_dist(support, s), wrong) == 0.0
