@@ -8,6 +8,7 @@ senders.
 __version__ = "0.1.0"
 
 from .spectra import (
+    GridBudgetError,
     KGrid,
     SampledState,
     SpectralAmplitude,

@@ -11,6 +11,7 @@ channel bits and B cross-checks them against his definite outcomes.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +108,16 @@ class ProtocolContext:
         self.psi2: SampledState = sample(config.amp2, self.grid)
 
     def povm(self, t: float, family: str | None = None) -> measurement.Povm:
-        """Build the POVM with window parameter t (the config's family by default)."""
+        """Build the POVM with window parameter t (the config's family by default).
+
+        The grid is resolved for windows up to t_open only: a finite t past
+        it raises ValueError.
+        """
+        if t > self.config.t_open and not math.isinf(t):
+            raise ValueError(
+                f"window t = {t!r} exceeds t_open = {self.config.t_open!r}, "
+                "the largest window the grid is resolved for"
+            )
         if (family or self.config.povm_family) == "support":
             return measurement.support_povm(
                 self.grid, self.config.amp1.support, self.config.amp2.support, t

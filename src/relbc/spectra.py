@@ -20,9 +20,26 @@ SHAPES = ("rectangular", "truncated-gaussian", "raised-cosine")
 # Truncated gaussian: support spans +-3 standard deviations.
 _GAUSS_SUPPORT_SIGMAS = 3.0
 
-# Node-count buckets for cached Gauss-Legendre rules.  The largest bucket
-# covers oscillation phases up to delta*T ~ 1e4 across a single panel.
-_NODE_BUCKETS = (256, 512, 1024, 1536, 2048, 3072, 4096, 5200)
+# Nodes of the one Gauss-Legendre rule every grid_for_amplitudes panel uses;
+# a wide or oscillatory panel is cut into more sub-panels, never given a
+# higher-order rule (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).
+_RULE = 256
+
+# Largest grid grid_for_amplitudes builds (64 MiB of nodes and weights);
+# the O(n^2) window forms on it would take hours.
+MAX_GRID_NODES = 1 << 22
+
+
+class GridBudgetError(ValueError):
+    """A grid past ``MAX_GRID_NODES`` nodes was asked for."""
+
+    def __init__(self, n: int, T: float):
+        self.n = n
+        self.T = T
+        super().__init__(
+            f"grid for window T = {T!r} needs {n} nodes; "
+            f"grids are limited to n <= {MAX_GRID_NODES}"
+        )
 
 
 @lru_cache(maxsize=32)
@@ -159,37 +176,24 @@ class KGrid:
         return self.nodes.size
 
 
-def gauss_legendre_grid(panels, nodes_per_panel) -> KGrid:
-    """Composite GL grid from contiguous ascending panels [(a, b), ...].
-
-    ``nodes_per_panel`` is an int or a per-panel sequence.
-    """
-    panels = [(float(a), float(b)) for a, b in panels]
-    if not panels:
+def gauss_legendre_grid(panels, nodes_per_panel: int) -> KGrid:
+    """Composite GL grid: one ``nodes_per_panel``-point rule on each of the
+    contiguous ascending panels [(a, b), ...]."""
+    edges = np.asarray(panels, dtype=float).reshape(-1, 2)
+    if not len(edges):
         raise ValueError("at least one panel required")
-    for (a, b) in panels:
-        if not b > a:
-            raise ValueError("panel endpoints must be ascending")
-    for (_, b), (a2, _) in zip(panels[:-1], panels[1:]):
-        if abs(b - a2) > 1e-12 * max(abs(b), 1.0):
-            raise ValueError("panels must be contiguous")
-    if isinstance(nodes_per_panel, int):
-        counts = [nodes_per_panel] * len(panels)
-    else:
-        counts = list(nodes_per_panel)
-        if len(counts) != len(panels):
-            raise ValueError("one node count per panel required")
-    nodes, weights = [], []
-    for (a, b), n in zip(panels, counts):
-        x, w = _leggauss(int(n))
-        half = 0.5 * (b - a)
-        nodes.append(half * x + 0.5 * (a + b))
-        weights.append(half * w)
+    a, b = edges.T
+    if not np.all(b > a):
+        raise ValueError("panel endpoints must be ascending")
+    if np.any(np.abs(b[:-1] - a[1:]) > 1e-12 * np.maximum(np.abs(b[:-1]), 1.0)):
+        raise ValueError("panels must be contiguous")
+    x, w = _leggauss(int(nodes_per_panel))
+    half = (0.5 * (b - a))[:, None]
     return KGrid(
-        nodes=np.concatenate(nodes),
-        weights=np.concatenate(weights),
-        k_min=panels[0][0],
-        k_max=panels[-1][1],
+        nodes=(half * x + (0.5 * (a + b))[:, None]).ravel(),
+        weights=(half * w).ravel(),
+        k_min=float(a[0]),
+        k_max=float(b[-1]),
     )
 
 
@@ -204,25 +208,24 @@ def grid_from_spec(spec: dict) -> KGrid:
     )
 
 
-def _bucketed_nodes(width: float, delta: float, T: float) -> int:
+def _subpanels(width: float, delta: float, T: float) -> int:
     # spacing <= delta/64 needs ~ 64*pi*width/delta interior GL nodes;
     # resolving the sin((k-k')T) oscillation needs ~ width*T/2 nodes.
-    need = max(
-        256,
-        int(math.ceil(64 * math.pi * width / delta)) if width > delta else 256,
-        int(math.ceil(width * T / 2)) + 80 if math.isfinite(T) else 256,
-    )
-    for n in _NODE_BUCKETS:
-        if n >= need:
-            return n
-    return _NODE_BUCKETS[-1]
+    need = 64 * math.pi * width / delta
+    if math.isfinite(T):
+        need = max(need, width * T / 2)
+    return max(1, math.ceil(need / _RULE))
 
 
 def grid_for_amplitudes(amplitudes, T: float = 0.0) -> KGrid:
     """Panelled grid covering every amplitude's support plus the gaps between.
 
-    Panels align with support edges; node counts per panel grow with the
-    window half-width T so the sinc kernel stays resolved.
+    Panels align with support edges.  Each panel of width w is cut into m
+    equal sub-panels of one 256-node rule, m = ceil(max(64 pi w / delta_min,
+    w T / 2) / 256), so the node spacing stays <= delta_min/64 and the
+    sinc kernel of the window half-width T stays resolved; m depends on
+    the amplitudes and T only through w T and w / delta_min.  Raises
+    GridBudgetError, before allocating, past MAX_GRID_NODES nodes.
     """
     supports = sorted(a.support for a in amplitudes)
     if not supports:
@@ -237,8 +240,13 @@ def grid_for_amplitudes(amplitudes, T: float = 0.0) -> KGrid:
         elif nxt is not None and nxt[0] < hi:
             raise ValueError("amplitude supports must not overlap")
     panels = list(zip(edges[:-1], edges[1:]))
-    counts = [_bucketed_nodes(b - a, delta_min, T) for a, b in panels]
-    return gauss_legendre_grid(panels, counts)
+    counts = [_subpanels(b - a, delta_min, T) for a, b in panels]
+    n = _RULE * sum(counts)
+    if n > MAX_GRID_NODES:
+        raise GridBudgetError(n, T)
+    cuts = [np.linspace(a, b, m + 1)[:-1] for (a, b), m in zip(panels, counts)]
+    cuts = np.append(np.concatenate(cuts), edges[-1])
+    return gauss_legendre_grid(np.column_stack((cuts[:-1], cuts[1:])), _RULE)
 
 
 @dataclass(frozen=True)

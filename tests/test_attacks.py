@@ -172,3 +172,17 @@ def test_required_bandwidth_validation():
         required_bandwidth(0.7, 1.0, 2)
     with pytest.raises(ValueError, match="positive"):
         required_bandwidth(1e-3, 0.0, 2)
+
+
+def test_windows_past_t_open_are_rejected(ctx, config):
+    # the grid is resolved for windows up to t_open only
+    t = config.t_open * 1.5
+    for call in (
+        lambda: ctx.povm(t),
+        lambda: ctx.outcome_dists(t),
+        lambda: per_channel_flag_prob(HONEST, ctx, "state", t),
+        lambda: monte_carlo_detection_rate(HONEST, 3, ctx, "support", t, 10),
+    ):
+        with pytest.raises(ValueError, match=r"t = 30\.0 exceeds t_open = 20\.0"):
+            call()
+    assert ctx.povm(math.inf, "support").T == math.inf

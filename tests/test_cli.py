@@ -215,3 +215,12 @@ def test_exit_codes(tmp_path, capsys):
 def test_run_bad_family_is_config_error(tmp_path):
     path = _write(tmp_path, dict(RUN_CFG, family="telepathy"))
     assert main(["run", "--config", path]) == EXIT_CONFIG
+
+
+def test_attack_past_grid_budget_is_invariant_violation(tmp_path, capsys):
+    # a 1.5e9-node grid is refused by name before anything is allocated
+    path = _write(tmp_path, dict(RUN_CFG, t_open=1e9))
+    capsys.readouterr()
+    assert main(["attack", "--config", path]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "1500000000 nodes" in err and "T = 1000000000.0" in err, err

@@ -40,7 +40,7 @@ def _context(t_open: float) -> ProtocolContext:
 
 @pytest.fixture(scope="module")
 def ctx():
-    c = _context(10.0)
+    c = _context(100.0)
     assert c.grid.size == 768
     return c
 
@@ -95,7 +95,7 @@ def test_forms_match_dense_matrices(ctx, log_t, tau0, wrong_delta, wrong_pos):
 
 @pytest.fixture(scope="module")
 def ctx3072():
-    c = _context(1e3)
+    c = _context(2e3)
     assert c.grid.size == 3072 <= DENSE_MAX_N
     return c
 
@@ -132,7 +132,7 @@ def test_outcome_dist_rejects_dense_density(ctx):
 
 
 def test_mixed_distribution_memory_at_n3072():
-    ctx = _context(1e3)
+    ctx = _context(2e3)
     assert ctx.grid.size == 3072
     mixed = attacks.Strategy(kind="mixed")
     tracemalloc.start()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from relbc.measurement import support_povm, state_povm
+from relbc.measurement import outcome_dist, support_povm, state_povm
 from relbc.oracle import (
     detect_prob_flat_closed_form,
     detect_prob_time_domain,
@@ -150,3 +150,22 @@ def test_parity_exhaustive_reference_points():
     out = parity_exhaustive(4, 0.3)
     assert abs(out["all_detected"] - 0.0081) < 1e-15
     assert abs(out["guess_success"] - 0.50405) < 1e-15
+
+
+@pytest.mark.parametrize("TDelta", [2.5e4, 5e4])
+def test_flat_closed_form_past_the_old_node_cap(TDelta):
+    # a single 5200-node panel gave 2.109 and 3.928 here
+    amp = make_amplitude("rectangular", 10.0, 1.0)
+    grid = grid_for_amplitudes([amp], T=TDelta)
+    p = detect_prob(build_window(grid, TDelta), sample(amp, grid))
+    assert abs(p - detect_prob_flat_closed_form(1.0, TDelta)) < 1e-8
+
+
+def test_two_carrier_protocol_grid_at_TDelta_1e4():
+    amp1, amp2 = disjoint_pair(12.0, 10.0, 1.0)
+    T = 1e4
+    grid = grid_for_amplitudes([amp1, amp2], T=T)
+    povm = support_povm(grid, amp1.support, amp2.support, T)
+    dist = outcome_dist(povm, sample(amp1, grid))
+    assert abs(dist.p1 - detect_prob_flat_closed_form(1.0, T)) < 1e-12
+    assert dist.p2 == 0.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,3 +200,33 @@ def test_time_profile_shift_theorem():
     p0 = np.abs(time_profile(sample(amp0, grid), taus)) ** 2
     p2 = np.abs(time_profile(sample(amp2, grid), taus + 2.0)) ** 2
     assert np.allclose(p0, p2, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "t_open, n", [(10.0, 768), (352.0, 768), (1e3, 1536), (2e3, 3072), (1e4, 15360)]
+)
+def test_two_carrier_grid_sizes(t_open, n):
+    # one 256-node rule; each of the three unit-width panels is cut into
+    # ceil(t_open / 2 / 256) sub-panels, with support edges kept as panel edges
+    a1, a2 = disjoint_pair(12.0, 10.0, 1.0)
+    grid = grid_for_amplitudes([a1, a2], T=t_open)
+    assert grid.size == n
+    for edge in (9.5, 10.5, 11.5, 12.5):
+        assert np.count_nonzero(grid.nodes < edge) % 256 == 0
+
+
+def test_grid_budget_fails_before_allocating():
+    amp = make_amplitude("rectangular", 10.0, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(spectra.GridBudgetError) as info:
+            grid_for_amplitudes([amp], T=1e9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = info.value
+    assert isinstance(err, ValueError)
+    assert err.n == 256 * math.ceil(5e8 / 256) > spectra.MAX_GRID_NODES
+    assert err.T == 1e9
+    assert str(err.n) in str(err) and "1000000000.0" in str(err)
+    assert peak < 2**20, peak

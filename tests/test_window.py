@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relbc import oracle
 from relbc.spectra import grid_for_amplitudes, make_amplitude, sample
@@ -153,3 +155,24 @@ def test_matches_time_domain_oracle(shape):
         p_kernel = detect_prob(build_window(grid, T), state)
         p_time = oracle.detect_prob_time_domain(amp, T)
         assert abs(p_kernel - p_time) <= 1e-6 * p_time
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_td=st.floats(min_value=-2.0, max_value=3.0),
+    scale=st.floats(min_value=0.1, max_value=10.0),
+)
+@example(log_td=3.0, scale=10.0)
+@example(log_td=3.0, scale=0.1)
+@pytest.mark.parametrize("shape", ["rectangular", "truncated-gaussian", "raised-cosine"])
+def test_detect_prob_depends_on_T_delta_only(shape, log_td, scale):
+    # scaling k_c and delta by s and T by 1/s leaves p unchanged; the grid
+    # rule sees only w T and w / delta, so both grids are the same up to scale
+    T = 10.0**log_td
+
+    def p(s):
+        amp = make_amplitude(shape, 10.0 * s, s)
+        grid = grid_for_amplitudes([amp], T=T / s)
+        return detect_prob(build_window(grid, T / s), sample(amp, grid))
+
+    assert abs(p(scale) - p(1.0)) <= 1e-12
