@@ -25,9 +25,11 @@ from .window import (
     DenseBudgetError,
     WindowOperator,
     bilinear_form,
+    bilinear_forms,
     build_offset_window,
     build_window,
     detect_prob,
+    detect_probs,
     perp_prob,
     window_spectrum,
 )
@@ -38,6 +40,7 @@ from .measurement import (
     effective_angle,
     mixed_density,
     outcome_dist,
+    outcome_dists,
     sample_outcomes,
     state_povm,
     support_povm,
@@ -64,7 +67,9 @@ from .attacks import (
     Strategy,
     cheat_detection_prob,
     early_binding_advantage,
+    early_binding_advantages,
     per_channel_flag_prob,
+    per_channel_flag_probs,
     required_bandwidth,
     transmitted_state,
 )

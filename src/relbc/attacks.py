@@ -4,7 +4,7 @@ Sender-side strategies replace the honest carriers: a delayed launch is
 exactly a spectral phase exp(i*k*tau0); a mixed sender ships the same
 half/half mixture on every channel; a wrong-state sender ships an arbitrary
 normalized amplitude.  The receiver-side adversary measures early and is
-credited the analytic collective bound (``early_binding_advantage``).
+credited the analytic collective bound (``early_binding_advantages``).
 """
 
 from __future__ import annotations
@@ -58,6 +58,35 @@ def transmitted_state(strategy: Strategy, claimed_bit: int, ctx: protocol.Protoc
     return sample(strategy.amplitude, ctx.grid)
 
 
+def per_channel_flag_probs(
+    strategy: Strategy,
+    ctx: protocol.ProtocolContext,
+    family: str,
+    times,
+    claimed_bit: int = 0,
+) -> list[float]:
+    """Probability that one channel contradicts the claim A will open, per time.
+
+    Support family: only a definite wrong outcome flags (silence never
+    contradicts a claim).  State family: verification demands confirmation,
+    so anything but the claimed outcome flags, q = 1 - p_claimed.  The
+    transmitted state is sampled once and every window is evaluated in one
+    form.
+    """
+    times = list(times)
+    if any(T < 0 for T in times):
+        raise ValueError("window parameter must be non-negative")
+    sent = transmitted_state(strategy, claimed_bit, ctx)
+    povms = [ctx.povm(T, family) for T in times]
+    flags = []
+    for dist in measurement.outcome_dists(povms, sent):
+        p_claimed, p_wrong = (
+            (dist.p1, dist.p2) if claimed_bit == 0 else (dist.p2, dist.p1)
+        )
+        flags.append(p_wrong if family == "support" else 1.0 - p_claimed)
+    return flags
+
+
 def per_channel_flag_prob(
     strategy: Strategy,
     ctx: protocol.ProtocolContext,
@@ -65,22 +94,8 @@ def per_channel_flag_prob(
     T: float,
     claimed_bit: int = 0,
 ) -> float:
-    """Probability that one channel contradicts the claim A will open.
-
-    Support family: only a definite wrong outcome flags (silence never
-    contradicts a claim).  State family: verification demands confirmation,
-    so anything but the claimed outcome flags, q = 1 - p_claimed.
-    """
-    if T < 0:
-        raise ValueError("window parameter must be non-negative")
-    sent = transmitted_state(strategy, claimed_bit, ctx)
-    dist = measurement.outcome_dist(ctx.povm(T, family), sent)
-    p_claimed, p_wrong = (
-        (dist.p1, dist.p2) if claimed_bit == 0 else (dist.p2, dist.p1)
-    )
-    if family == "support":
-        return p_wrong
-    return 1.0 - p_claimed
+    """``per_channel_flag_probs`` at one window parameter T."""
+    return per_channel_flag_probs(strategy, ctx, family, [T], claimed_bit)[0]
 
 
 def cheat_detection_prob(
@@ -131,27 +146,40 @@ def monte_carlo_detection_rate(
     return flagged / runs
 
 
+def early_binding_advantages(
+    config: protocol.CommitConfig,
+    t_probes,
+    ctx: protocol.ProtocolContext | None = None,
+) -> list[tuple[float, float, float]]:
+    """B's parity-identification success from measuring at each t_probe.
+
+    Each entry is (individual p^N, collective p^(N/2), guess-augmented) with
+    p = detect probability of a carrier inside the window (-t_probe, t_probe);
+    every window is evaluated in one form.
+    """
+    t_probes = list(t_probes)
+    if any(not 0.0 <= t < config.t_open for t in t_probes):
+        raise ValueError("probe time must lie in [0, t_open)")
+    ctx = ctx or protocol.ProtocolContext(config)
+    windows = [window.build_window(ctx.grid, t) for t in t_probes]
+    n = config.n_channels
+    return [
+        (
+            protocol.ident_prob_individual(p, n),
+            protocol.ident_prob_collective(p, n),
+            protocol.guess_success(p, n),
+        )
+        for p in window.detect_probs(windows, ctx.psi1)
+    ]
+
+
 def early_binding_advantage(
     config: protocol.CommitConfig,
     t_probe: float,
     ctx: protocol.ProtocolContext | None = None,
 ) -> tuple[float, float, float]:
-    """B's parity-identification success from measuring at t_probe.
-
-    Returns (individual p^N, collective p^(N/2), guess-augmented) with
-    p = detect probability of a carrier inside the window (-t_probe, t_probe).
-    """
-    if not 0.0 <= t_probe < config.t_open:
-        raise ValueError("probe time must lie in [0, t_open)")
-    ctx = ctx or protocol.ProtocolContext(config)
-    w = window.build_window(ctx.grid, t_probe)
-    p = window.detect_prob(w, ctx.psi1)
-    n = config.n_channels
-    return (
-        protocol.ident_prob_individual(p, n),
-        protocol.ident_prob_collective(p, n),
-        protocol.guess_success(p, n),
-    )
+    """``early_binding_advantages`` at one probe time."""
+    return early_binding_advantages(config, [t_probe], ctx)[0]
 
 
 def required_bandwidth(

@@ -9,6 +9,7 @@ CSV (with a '#'-prefixed metadata header) or JSON, reproducible from
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -249,14 +250,16 @@ def cmd_attack(args) -> int:
     ctx = protocol.ProtocolContext(config)
     n = config.n_channels
     param = strategy.tau0 if strategy.kind == "delayed" else config.t_probe
-    early = {}  # B's advantage per probe time; rows past t_probe share one
-    rows = []
-    for t in sorted(times):
-        q = attacks.per_channel_flag_prob(strategy, ctx, config.povm_family, t)
-        t_probe = min(config.t_probe, t)
-        if t_probe not in early:
-            early[t_probe] = attacks.early_binding_advantage(config, t_probe, ctx)
-        rows.append((strategy.kind, param, n, t, q, 1.0 - (1.0 - q) ** n, *early[t_probe]))
+    times = sorted(times)
+    qs = attacks.per_channel_flag_probs(strategy, ctx, config.povm_family, times)
+    # B's advantage per probe time; rows past t_probe share one
+    probes = sorted({min(config.t_probe, t) for t in times})
+    early = dict(zip(probes, attacks.early_binding_advantages(config, probes, ctx)))
+    rows = [
+        (strategy.kind, param, n, t, q, 1.0 - (1.0 - q) ** n,
+         *early[min(config.t_probe, t)])
+        for t, q in zip(times, qs)
+    ]
     columns = (
         "strategy", "param", "N", "T", "q", "detection_prob",
         "P_ind", "P_coll", "P_guess",
@@ -326,7 +329,9 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="relbc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, doc in (

@@ -11,10 +11,11 @@ Two families are shipped:
 Both resolve the identity exactly: M_perp := I - M_1 - M_2.  The elements
 are never stored: a POVM keeps its window and its two references (support
 masks or reference states), and ``outcome_dist`` evaluates each
-probability as a bilinear form of the window (``window.bilinear_form``).
-A mixed input is passed as its n x r factor F, rho = F F^H.  The dense
-elements (``Povm.elements``) are computed on access for brute-force checks
-on small grids.
+probability as a bilinear form of the window (``window.bilinear_forms``).
+``outcome_dists`` does so for POVMs that differ only in their window, with
+one form for all of their windows.  A mixed input is passed as its n x r
+factor F, rho = F F^H.  The dense elements (``Povm.elements``) are
+computed on access for brute-force checks on small grids.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectra import KGrid, SampledState, overlap
-from .window import WindowOperator, bilinear_form, build_window
+from .window import WindowOperator, bilinear_forms, build_window
 
 PERP = 0  # outcome code for the inconclusive channel
 
@@ -140,6 +141,44 @@ def _factor(povm: Povm, state_or_factor) -> np.ndarray:
     return f
 
 
+def outcome_dists(povms, state_or_factor) -> list[OutcomeDist]:
+    """``outcome_dist`` for POVMs that differ only in their window, in one form.
+
+    The POVMs share one family and one pair of references; each window
+    keeps its own clamps and sum check.
+    """
+    povms = list(povms)
+    if not povms:
+        return []
+    first = povms[0]
+    for povm in povms[1:]:
+        if povm.family != first.family or not all(
+            np.array_equal(r, r0) for r, r0 in zip(povm.refs, first.refs)
+        ):
+            raise ValueError("POVMs of one call must share family and references")
+    f = _factor(first, state_or_factor)
+    tr = float(np.sum(np.abs(f) ** 2))
+    if abs(tr - 1.0) > 1e-8:
+        raise ValueError(f"density matrix trace {tr} != 1")
+    windows = [povm.window for povm in povms]
+    if first.family == "support":
+        forms = [bilinear_forms(windows, pf, pf)
+                 for pf in (ind[:, None] * f for ind in first.refs)]
+        probs = [[float(np.real(np.trace(g))) for g in pair] for pair in zip(*forms)]
+    else:
+        forms = bilinear_forms(windows, np.column_stack(first.refs), f)
+        probs = [[float(np.sum(np.abs(row) ** 2)) for row in g] for g in forms]
+    dists = []
+    for p in probs:
+        p.append(tr - p[0] - p[1])
+        p1, p2, pp = (_clamp_prob(v, lbl) for v, lbl in zip(p, ("p1", "p2", "p_perp")))
+        total = p1 + p2 + pp
+        if abs(total - 1.0) > 1e-8:
+            raise ValueError(f"outcome probabilities sum to {total}, not 1")
+        dists.append(OutcomeDist(p1=p1 / total, p2=p2 / total, p_perp=pp / total))
+    return dists
+
+
 def outcome_dist(povm: Povm, state_or_factor) -> OutcomeDist:
     """Outcome probabilities p_o = Tr(F^H M_o F) for a pure state or a factor F.
 
@@ -148,24 +187,7 @@ def outcome_dist(povm: Povm, state_or_factor) -> OutcomeDist:
     no weight on E_i gives exactly 0.0.  p_perp = Tr(rho) - p1 - p2, with
     Tr(rho) = ||F||_F^2 checked to be 1.
     """
-    f = _factor(povm, state_or_factor)
-    tr = float(np.sum(np.abs(f) ** 2))
-    if abs(tr - 1.0) > 1e-8:
-        raise ValueError(f"density matrix trace {tr} != 1")
-    if povm.family == "support":
-        probs = [
-            float(np.real(np.trace(bilinear_form(povm.window, pf, pf))))
-            for pf in (ind[:, None] * f for ind in povm.refs)
-        ]
-    else:
-        g = bilinear_form(povm.window, np.column_stack(povm.refs), f)
-        probs = [float(np.sum(np.abs(row) ** 2)) for row in g]
-    probs.append(tr - probs[0] - probs[1])
-    p1, p2, pp = (_clamp_prob(p, lbl) for p, lbl in zip(probs, ("p1", "p2", "p_perp")))
-    total = p1 + p2 + pp
-    if abs(total - 1.0) > 1e-8:
-        raise ValueError(f"outcome probabilities sum to {total}, not 1")
-    return OutcomeDist(p1=p1 / total, p2=p2 / total, p_perp=pp / total)
+    return outcome_dists([povm], state_or_factor)[0]
 
 
 def sample_outcomes(dists, channel_bits, rng: np.random.Generator) -> np.ndarray:

@@ -42,6 +42,8 @@ class CommitConfig:
     def __post_init__(self):
         if self.n_channels < 1:
             raise ValueError("need at least one channel")
+        if not self.channel_delay >= 0:
+            raise ValueError(f"channel_delay must be non-negative, got {self.channel_delay!r}")
         if not 0.0 <= self.t_probe < self.t_open:
             raise ValueError("probe time must satisfy 0 <= t_probe < t_open")
         if self.povm_family not in FAMILIES:
@@ -285,10 +287,9 @@ def storage_security_curve(config: CommitConfig, times) -> list[tuple[float, flo
     if any(t < 0 or t > config.t_open for t in times):
         raise ValueError("times must lie within [0, t_open]")
     ctx = ProtocolContext(config)
+    windows = [window.build_window(ctx.grid, t) for t in times]
     curve = []
-    for t in times:
-        w = window.build_window(ctx.grid, t)
-        p = window.detect_prob(w, ctx.psi1)
+    for t, p in zip(times, window.detect_probs(windows, ctx.psi1)):
         best = max(
             ident_prob_collective(p, config.n_channels),
             guess_success(p, config.n_channels),

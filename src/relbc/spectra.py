@@ -307,5 +307,10 @@ def time_profile(state: SampledState, tau_nodes) -> np.ndarray:
     """
     tau = np.atleast_1d(np.asarray(tau_nodes, dtype=float))
     coeff = state.grid.weights * state.values
-    phases = np.exp(-1j * np.outer(tau, state.grid.nodes))
+    # exp(-i k tau) as cos and sin of the real phase -k tau: the same values
+    # as the complex exponential, at about half its cost
+    arg = np.outer(-tau, state.grid.nodes)
+    phases = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=phases.real)
+    np.sin(arg, out=phases.imag)
     return (phases @ coeff) / math.sqrt(2 * math.pi)

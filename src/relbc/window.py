@@ -6,12 +6,15 @@ normalized state is the detection probability inside the window (-T, T):
 the fraction of the wavepacket's energy the apparatus has causal access to.
 
 The operator is held as (grid, T, center) and never stored as a matrix.
-Every probability is a bilinear form A^H W B (``bilinear_form``) over the
-nonzero rows of A and of B only.  The form splits the kernel as
+Every probability is a bilinear form A^H W B over the nonzero rows of A
+and of B only, and ``bilinear_forms`` evaluates it for every window of a
+call on one grid at once.  The form splits the kernel as
 sin((k - k')T) = sin(kT) cos(k'T) - cos(kT) sin(k'T), so it takes O(n)
-sines and cosines once and then only the T-independent Cauchy entries
-1/(k - k'), one row block of at most ``_BLOCK_ENTRIES`` entries at a time:
-its memory stays O(n) on any grid.  The dense matrix
+sines and cosines per window and then only the T-independent Cauchy
+entries 1/(k - k'), one row block of at most ``_BLOCK_ENTRIES`` entries at
+a time.  Each block is built once for all windows of the call: its memory
+stays O(n) on any grid, and an op's several windows share one O(n^2)
+pass.  The dense matrix
 (``WindowOperator.matrix``) uses the direct kernel; it is computed on
 access for the spectrum and small-grid checks, where it is the reference
 the forms are tested against, and is refused past ``DENSE_MAX_N`` nodes
@@ -29,7 +32,7 @@ from .spectra import KGrid, SampledState
 
 _EIG_SLACK = 1e-9
 
-# Cauchy entries evaluated at once by bilinear_form (8 MiB as float64).
+# Cauchy entries evaluated at once by bilinear_forms (8 MiB as float64).
 _BLOCK_ENTRIES = 1 << 20
 
 # Largest grid whose dense n x n matrices may be materialised: one complex
@@ -57,18 +60,23 @@ class WindowOperator:
     T: float
     center: float = 0.0
 
-    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Weighted kernel entries W[rows, cols] for index arrays rows, cols.
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n operator, computed on access (small grids only).
 
         The direct sin((k - k')T) / (pi (k - k')) kernel, independent of the
-        split ``bilinear_form`` uses; it builds ``matrix``.  Real for a
-        centred window, complex (the phase exp(i (k - k') center))
-        otherwise; T = inf gives the identity.
+        split ``bilinear_forms`` uses.  Real for a centred window, complex
+        (the phase exp(i (k - k') center)) otherwise; T = inf gives the
+        identity.  Raises DenseBudgetError before allocating when
+        n > DENSE_MAX_N.
         """
+        n = self.grid.size
+        if n > DENSE_MAX_N:
+            raise DenseBudgetError("window matrix", n)
         if math.isinf(self.T):
-            return np.equal.outer(rows, cols).astype(float)
+            return np.eye(n)
         k = self.grid.nodes
-        dk = np.subtract.outer(k[rows], k[cols])
+        dk = np.subtract.outer(k, k)
         kern = dk * self.T
         np.sin(kern, out=kern)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -76,22 +84,15 @@ class WindowOperator:
         # removable singularity where a row meets its own column
         kern[dk == 0] = self.T / math.pi
         sw = np.sqrt(self.grid.weights)
-        kern *= np.outer(sw[rows], sw[cols])
+        kern *= np.outer(sw, sw)
         if self.center != 0.0:
-            kern = kern * np.exp(1j * dk * self.center)
+            # exp(i (k - k') center) as the cos and sin of its real phase
+            arg = dk * self.center
+            phase = np.empty(arg.shape, dtype=complex)
+            np.cos(arg, out=phase.real)
+            np.sin(arg, out=phase.imag)
+            kern = kern * phase
         return kern
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense n x n operator, computed on access (small grids only).
-
-        Raises DenseBudgetError before allocating when n > DENSE_MAX_N.
-        """
-        n = self.grid.size
-        if n > DENSE_MAX_N:
-            raise DenseBudgetError("window matrix", n)
-        idx = np.arange(n)
-        return self.block(idx, idx)
 
 
 def build_window(grid: KGrid, T: float) -> WindowOperator:
@@ -114,11 +115,12 @@ def build_offset_window(grid: KGrid, tau_a: float, tau_b: float) -> WindowOperat
     )
 
 
-def bilinear_form(w: WindowOperator, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A^H W B for (n, r_a) and (n, r_b) column blocks; returns (r_a, r_b).
+def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^H W_j B for windows W_j on one grid; returns (m, r_a, r_b).
 
-    Only the nonzero rows of A and of B take part, so disjoint supports give
-    an exact 0.0.  With phi = (k - k_ref) T about the grid midpoint k_ref,
+    A is (n, r_a) and B is (n, r_b).  Only the nonzero rows of A and of B
+    take part, so disjoint supports give an exact 0.0 for every window.
+    With phi = (k - k_ref) T about the grid midpoint k_ref,
     sin((k - k')T) = sin(phi) cos(phi') - cos(phi) sin(phi'), so
 
         A^H W B = [(sA)^H C (cB) - (cA)^H C (sB)] / pi + (T / pi) sum_i A_i^* B_i,
@@ -126,41 +128,60 @@ def bilinear_form(w: WindowOperator, a: np.ndarray, b: np.ndarray) -> np.ndarray
     where A and B are scaled by sqrt(w) (and, off centre, by
     exp(-i (k - k_ref) center)), s and c are sin(phi) and cos(phi) on their
     rows, and C = 1/(k - k') with a zero diagonal.  The O(n) sines and
-    cosines are taken once per form; the Cauchy block C is built in row
-    blocks of at most _BLOCK_ENTRIES entries.
+    cosines are taken once per window.  C does not depend on T: it is built
+    once per row block of at most _BLOCK_ENTRIES entries and meets the
+    stacked [cB, sB] of every finite window in one real GEMM.  T = inf
+    windows are the identity.
     """
+    windows = list(windows)
+    out = np.zeros((len(windows), a.shape[1], b.shape[1]), dtype=complex)
+    if not windows:
+        return out
+    grid = windows[0].grid
+    if any(w.grid is not grid and not np.array_equal(w.grid.nodes, grid.nodes)
+           for w in windows):
+        raise ValueError("windows live on different grids")
     rows = np.flatnonzero(np.any(a != 0, axis=1))
     cols = np.flatnonzero(np.any(b != 0, axis=1))
-    out = np.zeros((a.shape[1], b.shape[1]), dtype=complex)
     if rows.size == 0 or cols.size == 0:
         return out
     common = np.intersect1d(rows, cols, assume_unique=True)
-    if math.isinf(w.T):
-        out += a[common].conj().T @ b[common]
+    finite = []
+    for j, w in enumerate(windows):
+        if math.isinf(w.T):
+            out[j] += a[common].conj().T @ b[common]
+        else:
+            finite.append(j)
+    if not finite:
         return out
-    k = w.grid.nodes
+    k = grid.nodes
     # k - k_ref is exact where k lies within a factor 2 of k_ref
-    x = k - 0.5 * (w.grid.k_min + w.grid.k_max)
-    sw = np.sqrt(w.grid.weights)
+    x = k - 0.5 * (grid.k_min + grid.k_max)
+    sw = np.sqrt(grid.weights)
 
-    def scaled(m, idx):
+    def scaled(m, idx, center):
         f = (m[idx] * sw[idx, None]).astype(complex)
-        if w.center != 0.0:
-            f *= np.exp(-1j * w.center * x[idx])[:, None]
+        if center != 0.0:
+            f *= np.exp(-1j * center * x[idx])[:, None]
         return f
 
-    a_t, b_t = scaled(a, rows), scaled(b, cols)
-    phi_r, phi_c = x[rows] * w.T, x[cols] * w.T
-    s_a = np.sin(phi_r)[:, None] * a_t
-    c_a = np.cos(phi_r)[:, None] * a_t
-    # [c B, s B] as a real (n_c, 4 r_b) array, so each block is one real GEMM
-    cs_b = np.hstack([np.cos(phi_c)[:, None] * b_t, np.sin(phi_c)[:, None] * b_t])
-    cs_b = cs_b.view(np.float64)
-    r_b = b.shape[1]
     # positions where a row meets its own column (k = k'): C is zero there,
     # and the removable singularity is the (T / pi) sum term
     diag_r = np.searchsorted(rows, common)
     diag_c = np.searchsorted(cols, common)
+    r_b = b.shape[1]
+    terms, cs_b = [], []
+    for j in finite:
+        w = windows[j]
+        a_t, b_t = scaled(a, rows, w.center), scaled(b, cols, w.center)
+        phi_r, phi_c = x[rows] * w.T, x[cols] * w.T
+        s_a = np.sin(phi_r)[:, None] * a_t
+        c_a = np.cos(phi_r)[:, None] * a_t
+        terms.append((j, s_a, c_a, w.T * (a_t[diag_r].conj().T @ b_t[diag_c])))
+        cs_b += [np.cos(phi_c)[:, None] * b_t, np.sin(phi_c)[:, None] * b_t]
+    # [c B, s B] of every window as one real (n_c, 4 r_b m) array, so each
+    # row block is one real GEMM
+    cs_b = np.hstack(cs_b).view(np.float64)
     k_c = k[cols]
     step = max(1, _BLOCK_ENTRIES // cols.size)
     for start in range(0, rows.size, step):
@@ -171,11 +192,20 @@ def bilinear_form(w: WindowOperator, a: np.ndarray, b: np.ndarray) -> np.ndarray
         np.reciprocal(cauchy, out=cauchy)
         cauchy[diag_r[on] - start, diag_c[on]] = 0.0
         g = (cauchy @ cs_b).view(np.complex128)
-        out += s_a[start:stop].conj().T @ g[:, :r_b]
-        out -= c_a[start:stop].conj().T @ g[:, r_b:]
-    out += w.T * (a_t[diag_r].conj().T @ b_t[diag_c])
-    out /= math.pi
+        for i, (j, s_a, c_a, _) in enumerate(terms):
+            g_c = g[:, 2 * i * r_b:(2 * i + 1) * r_b]
+            g_s = g[:, (2 * i + 1) * r_b:(2 * i + 2) * r_b]
+            out[j] += s_a[start:stop].conj().T @ g_c
+            out[j] -= c_a[start:stop].conj().T @ g_s
+    for j, _, _, diag in terms:
+        out[j] += diag
+        out[j] /= math.pi
     return out
+
+
+def bilinear_form(w: WindowOperator, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^H W B for one window; returns (r_a, r_b).  See ``bilinear_forms``."""
+    return bilinear_forms([w], a, b)[0]
 
 
 def _check_grid(w: WindowOperator, state: SampledState):
@@ -185,16 +215,25 @@ def _check_grid(w: WindowOperator, state: SampledState):
         raise ValueError("state and window live on different grids")
 
 
+def detect_probs(windows, state: SampledState) -> list[float]:
+    """<psi| W_j |psi> for windows W_j on the state's grid, in one form."""
+    windows = list(windows)
+    for w in windows:
+        _check_grid(w, state)
+    u = state.weighted()[:, None]
+    probs = []
+    for p in np.real(bilinear_forms(windows, u, u)[:, 0, 0]).tolist():
+        if p < -_EIG_SLACK:
+            raise ValueError(f"quadratic form returned {p}: window operator is broken")
+        if p > 1.0 + 1e-6:
+            raise ValueError(f"quadratic form returned {p} > 1")
+        probs.append(min(max(p, 0.0), 1.0))
+    return probs
+
+
 def detect_prob(w: WindowOperator, state: SampledState) -> float:
     """<psi| W_T |psi>: probability of detection inside the window."""
-    _check_grid(w, state)
-    u = state.weighted()[:, None]
-    p = float(np.real(bilinear_form(w, u, u)[0, 0]))
-    if p < -_EIG_SLACK:
-        raise ValueError(f"quadratic form returned {p}: window operator is broken")
-    if p > 1.0 + 1e-6:
-        raise ValueError(f"quadratic form returned {p} > 1")
-    return min(max(p, 0.0), 1.0)
+    return detect_probs([w], state)[0]
 
 
 def perp_prob(w: WindowOperator, state: SampledState) -> float:

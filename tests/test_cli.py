@@ -1,14 +1,23 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relbc
+from relbc import attacks, measurement, window
 from relbc.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
+from relbc.protocol import CommitConfig, ProtocolContext
+from relbc.spectra import SpectralAmplitude, make_amplitude
 
 SWEEP_CFG = {
     "shapes": ["rectangular", "raised-cosine"],
@@ -154,6 +163,61 @@ def test_attack_table(tmp_path):
     assert out.read_text().splitlines()[4].split(",")[:2] == ["wrong_state", "2.0"]
 
 
+WRONG = {"shape": "raised-cosine", "k_c": 11.0, "delta": 0.8}
+
+
+@pytest.mark.parametrize("family", ["support", "state"])
+@pytest.mark.parametrize("adversary", ["delayed", "mixed", "wrong_state"])
+def test_attack_matches_per_time_reference(tmp_path, family, adversary):
+    # times below, at and above t_probe, so rows meet several probe windows
+    times = [0.0, 0.5, 2.0, 5.0, 20.0, 1.0]
+    cfg = dict(RUN_CFG, family=family, adversary=adversary, tau0=3.0, t_probe=2.0,
+               times=times, wrong_state=WRONG)
+    out = tmp_path / "attack.csv"
+    assert main(["attack", "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()[4:]]
+    # the reference: one POVM, one outcome_dist and one detect_prob per time
+    amp1, amp2 = (make_amplitude("rectangular", k, 1.0) for k in (12.0, 10.0))
+    config = CommitConfig(n_channels=3, amp1=amp1, amp2=amp2, t_open=20.0,
+                          t_probe=2.0, povm_family=family)
+    ctx = ProtocolContext(config)
+    strategy = attacks.Strategy(kind=adversary, tau0=3.0,
+                                amplitude=SpectralAmplitude.from_json(WRONG))
+    sent = attacks.transmitted_state(strategy, 0, ctx)
+    assert [float(r[3]) for r in rows] == sorted(times)
+    for r in rows:
+        t = float(r[3])
+        d = measurement.outcome_dist(ctx.povm(t, family), sent)
+        q = d.p2 if family == "support" else 1.0 - d.p1
+        p = window.detect_prob(window.build_window(ctx.grid, min(2.0, t)), ctx.psi1)
+        expect = (q, 1.0 - (1.0 - q) ** 3, p**3, p**1.5, p**3 + (1.0 - p**3) / 2.0)
+        got = [float(v) for v in r[4:]]
+        assert max(abs(g - e) for g, e in zip(got, expect)) <= 1e-13, (t, got, expect)
+
+
+def test_parser_is_reused_without_leaking_defaults(tmp_path):
+    """In-process calls on the one cached parser match fresh processes."""
+    run_cfg = _write(tmp_path, RUN_CFG, "run.json")
+    attack_cfg = _write(tmp_path, dict(RUN_CFG, adversary="delayed", tau0=3.0,
+                                       times=[1.0, 20.0]), "attack.json")
+    calls = [
+        ["run", "--config", run_cfg, "--runs", "2", "--seed", "3"],
+        ["attack", "--config", attack_cfg],
+        ["run", "--config", run_cfg],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(relbc.__file__).parents[1]))
+    assert build_parser() is build_parser()
+    for i, argv in enumerate(calls):
+        here, fresh = tmp_path / f"here{i}.csv", tmp_path / f"fresh{i}.csv"
+        assert main(argv + ["--out", str(here)]) == EXIT_OK
+        subprocess.run([sys.executable, "-m", "relbc.cli", *argv, "--out", str(fresh)],
+                       env=env, check=True, timeout=120)
+        assert here.read_bytes() == fresh.read_bytes(), argv
+    # --runs and --seed of the first call do not carry over to the third
+    last = (tmp_path / "here2.csv").read_text().splitlines()
+    assert last[1] == "# seed: 0" and len(last) == 5
+
+
 def test_validate_ok(tmp_path, capsys):
     assert main(["validate"]) == EXIT_OK
     text = capsys.readouterr().out
@@ -202,6 +266,8 @@ def test_exit_codes(tmp_path, capsys):
         ("kc", "sweep", {"k_c": 0.4, "deltas": [1.0], "times": [1.0]}, ("'k_c'",)),
         # the grid is resolved for windows up to t_open only
         ("late", "attack", dict(RUN_CFG, times=[1.0, 1000.0]), ("'times'", "t_open = 20.0")),
+        # a negative delay would push the measurement window past t_open
+        ("negdelay", "run", dict(RUN_CFG, channel_delay=-10.0), ("channel_delay", "-10.0")),
     ):
         capsys.readouterr()
         assert main([cmd, "--config", _write(tmp_path, cfg, f"{name}.json")]) == EXIT_CONFIG

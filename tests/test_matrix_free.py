@@ -6,7 +6,9 @@ evaluated block by block through the Cauchy split of its kernel; the dense
 remain for small-grid checks only.  These tests pin the forms to
 Tr(rho M) and u^H W u from the dense matrices, bound the memory
 of one large-grid distribution, and check that dense materialisation past
-the budget fails before it allocates.
+the budget fails before it allocates.  The multi-window kernel, which
+evaluates every window of a call against one Cauchy block per row block,
+is pinned to the per-window dense matrices in the same way.
 """
 
 import math
@@ -14,15 +16,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from relbc import attacks, measurement
+from relbc import attacks, measurement, oracle
 from relbc.protocol import CommitConfig, ProtocolContext
 from relbc.spectra import disjoint_pair, gauss_legendre_grid, make_amplitude, sample
 from relbc.window import (
     DENSE_MAX_N,
     DenseBudgetError,
+    bilinear_forms,
     build_offset_window,
     build_window,
     detect_prob,
@@ -124,6 +127,77 @@ def test_forms_match_dense_matrices_at_n3072(ctx3072, T):
         assert getattr(measurement.outcome_dist(support, s), wrong) == 0.0
 
 
+# each example materialises five dense windows
+@settings(max_examples=8, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(
+    log_t=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=2, max_size=2),
+    center=st.floats(min_value=-100.0, max_value=100.0),
+    order=st.permutations(range(5)),
+    tau0=st.floats(min_value=0.5, max_value=10.0),
+)
+def test_multi_window_forms_match_dense_matrices(ctx, log_t, center, order, tau0):
+    # centred, off-centre, empty, full and t_open windows in any order, on
+    # the n = 768 two-carrier grid; T log-uniform up to t_open = 100
+    grid, t_open = ctx.grid, ctx.config.t_open
+    t1, t2 = (10.0**x for x in log_t)
+    windows = [
+        build_window(grid, t1),
+        build_offset_window(grid, center - t2, center + t2),
+        build_window(grid, 0.0),
+        build_window(grid, math.inf),
+        build_window(grid, t_open),
+    ]
+    windows = [windows[i] for i in order]
+    sent = _inputs(ctx, tau0, 11.0, 0.8)
+    a = np.column_stack([ctx.psi1.weighted(), ctx.psi2.weighted()])
+    b = np.column_stack([sent["delayed"].weighted(), sent["wrong_state"].weighted(),
+                         sent["mixed"]])
+    forms = bilinear_forms(windows, a, b)
+    assert forms.shape == (5, 2, 4)
+    for w, form in zip(windows, forms):
+        dense = a.conj().T @ w.matrix @ b
+        assert np.max(np.abs(form - dense)) <= AGREE_ABS, (w.T, w.center)
+    # an empty side (psi_1 restricted to E_2) gives exact zeros in every slot
+    lo, hi = ctx.config.amp2.support
+    empty = (((grid.nodes > lo) & (grid.nodes < hi)) * ctx.psi1.weighted())[:, None]
+    assert not np.any(bilinear_forms(windows, empty, b))
+    assert not np.any(bilinear_forms(windows, a, empty))
+    support = [ctx.povm(w.T, "support") for w in windows if w.center == 0.0]
+    assert all(d.p2 == 0.0 for d in measurement.outcome_dists(support, ctx.psi1))
+    assert all(d.p1 == 0.0 for d in measurement.outcome_dists(support, ctx.psi2))
+
+
+def test_multi_window_calls_reject_mixed_inputs(ctx, big_grid):
+    with pytest.raises(ValueError, match="different grids"):
+        bilinear_forms([build_window(ctx.grid, 1.0), build_window(big_grid, 1.0)],
+                       ctx.psi1.weighted()[:, None], ctx.psi1.weighted()[:, None])
+    with pytest.raises(ValueError, match="family and references"):
+        measurement.outcome_dists([ctx.povm(1.0, "state"), ctx.povm(1.0, "support")],
+                                  ctx.psi1)
+    assert measurement.outcome_dists([], ctx.psi1) == []
+    assert bilinear_forms([], ctx.psi1.weighted()[:, None], ctx.psi2.weighted()[:, None]).shape == (0, 1, 1)
+
+
+# POVM completeness and positivity; touching carriers give n = 512, a gap n = 768
+@settings(max_examples=4, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(
+    log_t=st.floats(min_value=-2.0, max_value=math.log10(352.0)),
+    gap=st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=1.0)),
+)
+@example(log_t=math.log10(352.0), gap=0.0)
+def test_povm_validity_property(log_t, gap):
+    amp1, amp2 = disjoint_pair(11.0 + gap, 10.0, 1.0)
+    c = ProtocolContext(CommitConfig(n_channels=2, amp1=amp1, amp2=amp2, t_open=352.0))
+    assert c.grid.size <= 768
+    T = min(10.0**log_t, 352.0)  # 10**log10(352) rounds to just past t_open
+    for family in ("support", "state"):
+        report = oracle.povm_validity_bruteforce(c.povm(T, family))
+        assert report["passed"], (family, report["min_eigenvalue"],
+                                  report["completeness_residual"])
+
+
 def test_outcome_dist_rejects_dense_density(ctx):
     povm = ctx.povm(1.0, "state")
     factor = measurement.mixed_density([ctx.psi1, ctx.psi2])
@@ -142,6 +216,20 @@ def test_mixed_distribution_memory_at_n3072():
     finally:
         tracemalloc.stop()
     # one dense complex matrix at this n is 151 MB
+    assert peak < 64 * 2**20, peak
+
+
+def test_multi_window_mixed_distribution_memory_at_n3072(ctx3072):
+    mixed = measurement.mixed_density([ctx3072.psi1, ctx3072.psi2])
+    tracemalloc.start()
+    try:
+        povms = [ctx3072.povm(T, "state") for T in (1e-3, 1.0, 10.0, 1e2, 1e3, 2e3)]
+        dists = measurement.outcome_dists(povms, mixed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dists) == 6
+    # six dense complex matrices at this n would take 906 MB
     assert peak < 64 * 2**20, peak
 
 
