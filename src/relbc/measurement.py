@@ -15,7 +15,11 @@ probability as a bilinear form of the window (``window.bilinear_forms``).
 ``outcome_dists`` does so for POVMs that differ only in their window, with
 one form for all of their windows.  A mixed input is passed as its n x r
 factor F, rho = F F^H.  The dense elements (``Povm.elements``) are
-computed on access for brute-force checks on small grids.
+computed on access for brute-force checks on small grids.  They are real
+(float64) whenever the POVM is real, as it is for a centred window and
+undelayed carriers, so the oracle's eigen-checks of them take the real
+symmetric solver; a delayed reference or an off-centre window makes them
+complex.
 """
 
 from __future__ import annotations
@@ -72,12 +76,20 @@ class Povm:
 
     @property
     def elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense (M_1, M_2, M_perp), computed on access (small grids only)."""
+        """Dense (M_1, M_2, M_perp), computed on access (small grids only).
+
+        Real (float64) when the POVM is: a centred window and references
+        whose imaginary part is exactly zero, as for undelayed carriers.
+        Complex otherwise (an off-centre window or a delayed reference).
+        """
         w = self.window.matrix
+        refs = self.refs
+        if np.isrealobj(w) and not any(np.any(np.imag(r)) for r in refs):
+            refs = tuple(np.real(r) for r in refs)
         if self.family == "support":
-            m1, m2 = (w * np.outer(ind, ind) for ind in self.refs)
+            m1, m2 = (w * np.outer(ind, ind) for ind in refs)
         else:
-            m1, m2 = (np.outer(b, np.conj(b)) for b in (w @ ref for ref in self.refs))
+            m1, m2 = (np.outer(b, np.conj(b)) for b in (w @ ref for ref in refs))
         return m1, m2, np.eye(self.grid.size) - m1 - m2
 
 

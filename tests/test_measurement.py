@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from relbc.measurement import (
     support_povm,
 )
 from relbc.spectra import disjoint_pair, grid_for_amplitudes, sample
-from relbc.window import build_window, detect_prob
+from relbc.window import build_offset_window, build_window, detect_prob
 
 
 @pytest.fixture(scope="module")
@@ -219,3 +220,53 @@ def test_povm_validity_both_families(pair, T):
     ):
         report = oracle.povm_validity_bruteforce(povm)
         assert report["passed"], report
+
+
+def _complex_elements(povm):
+    """The same (M_1, M_2, M_perp) in complex arithmetic throughout."""
+    w = povm.window.matrix.astype(complex)
+    refs = [np.asarray(r, dtype=complex) for r in povm.refs]
+    if povm.family == "support":
+        m1, m2 = (w * np.outer(r, r) for r in refs)
+    else:
+        m1, m2 = (np.outer(b, np.conj(b)) for b in (w @ r for r in refs))
+    return m1, m2, np.eye(povm.grid.size) - m1 - m2
+
+
+@pytest.mark.parametrize("T", [0.0, 0.1, 10.0, math.inf])
+def test_real_povm_has_real_elements(pair, T):
+    a1, a2, grid, s1, s2 = pair
+    for povm in (support_povm(grid, a1.support, a2.support, T), state_povm(s1, s2, T)):
+        assert all(m.dtype == np.float64 for m in povm.elements), povm.family
+
+
+def test_delayed_or_off_centre_povm_has_complex_elements(pair):
+    a1, a2, grid, s1, s2 = pair
+    delayed = state_povm(sample(a1.delayed(2.0), grid), sample(a2.delayed(2.0), grid), 1.0)
+    off_centre = [
+        replace(povm, window=build_offset_window(grid, -0.5, 1.5))
+        for povm in (support_povm(grid, a1.support, a2.support, 1.0), state_povm(s1, s2, 1.0))
+    ]
+    for povm in (delayed, *off_centre):
+        assert all(m.dtype == np.complex128 for m in povm.elements), povm.family
+
+
+@pytest.mark.parametrize("T", [0.1, 1.0, 10.0])
+def test_real_elements_match_complex_arithmetic(pair, T):
+    a1, a2, grid, s1, s2 = pair
+    for povm in (support_povm(grid, a1.support, a2.support, T), state_povm(s1, s2, T)):
+        for m, ref in zip(povm.elements, _complex_elements(povm)):
+            assert np.max(np.abs(m - ref)) <= 1e-15, povm.family
+
+
+def test_real_elements_give_the_complex_oracle_report(pair):
+    a1, a2, grid, s1, s2 = pair
+    T = 10.0  # the widest window relbc validate checks
+    for povm in (support_povm(grid, a1.support, a2.support, T), state_povm(s1, s2, T)):
+        real, cplx = povm.elements, _complex_elements(povm)
+        got = oracle.povm_validity_bruteforce(povm, real)
+        want = oracle.povm_validity_bruteforce(povm, cplx)
+        assert got["passed"] and want["passed"]
+        for name in ("m1", "m2", "m_perp"):
+            for key in ("min_eig", "max_eig"):
+                assert abs(got["elements"][name][key] - want["elements"][name][key]) <= 1e-12

@@ -1,12 +1,16 @@
 """Checks for the independent cross-check routines themselves."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from relbc.measurement import outcome_dist, support_povm, state_povm
 from relbc.oracle import (
+    _HERMITIAN_TOL,
+    _hermitian_residual,
+    _profile_sq,
     detect_prob_flat_closed_form,
     detect_prob_time_domain,
     parity_exhaustive,
@@ -14,7 +18,7 @@ from relbc.oracle import (
     sine_integral,
 )
 from relbc.spectra import disjoint_pair, grid_for_amplitudes, make_amplitude, sample
-from relbc.window import build_window, detect_prob
+from relbc.window import build_offset_window, build_window, detect_prob
 
 
 # High-precision references computed with mpmath (mp.si / direct quadrature
@@ -127,6 +131,102 @@ def test_povm_validity_catches_corruption():
     bad[0, -1] += 1e-3
     report = povm_validity_bruteforce(povm, (bad, m2, m_perp))
     assert not report["passed"]
+
+
+@pytest.fixture(scope="module")
+def povm_cases():
+    """Both families at T = 1 on one 768-node grid, with real and with
+    complex elements: an off-centre window makes the support family
+    complex, delayed references make the state family complex."""
+    amp1, amp2 = disjoint_pair(12.0, 10.0, 1.0)
+    grid = grid_for_amplitudes([amp1, amp2], T=5.0)
+    support = support_povm(grid, amp1.support, amp2.support, 1.0)
+    cases = {
+        "support-real": support,
+        "support-complex": replace(support, window=build_offset_window(grid, -0.5, 1.5)),
+        "state-real": state_povm(sample(amp1, grid), sample(amp2, grid), 1.0),
+        "state-complex": state_povm(sample(amp1.delayed(2.0), grid),
+                                    sample(amp2.delayed(2.0), grid), 1.0),
+    }
+    for name, povm in cases.items():
+        assert np.iscomplexobj(povm.elements[0]) == name.endswith("complex")
+    return cases
+
+
+CASES = ("support-real", "support-complex", "state-real", "state-complex")
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_povm_validity_reports_hermiticity(povm_cases, case):
+    report = povm_validity_bruteforce(povm_cases[case])
+    assert report["passed"]
+    for name in ("m1", "m2", "m_perp"):
+        assert 0.0 <= report["elements"][name]["hermitian_residual"] <= _HERMITIAN_TOL
+    if case.endswith("real"):
+        assert report["hermitian_residual"] == 0.0
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_povm_validity_catches_non_hermitian_element(povm_cases, case):
+    # an upper-triangle entry moved between M_1 and M_perp: eigvalsh reads
+    # the lower triangle only and the sum is still the identity, so only
+    # the Hermiticity check can see it
+    povm = povm_cases[case]
+    m1, m2, m_perp = povm.elements
+    m1[0, -1] += 0.3
+    m_perp[0, -1] -= 0.3
+    report = povm_validity_bruteforce(povm, (m1, m2, m_perp))
+    assert not report["passed"]
+    assert report["completeness_residual"] <= 1e-8
+    assert report["min_eigenvalue"] >= -1e-9
+    assert report["elements"]["m1"]["hermitian_residual"] == pytest.approx(0.3)
+    assert report["elements"]["m_perp"]["hermitian_residual"] == pytest.approx(0.3)
+    assert report["elements"]["m2"]["hermitian_residual"] <= _HERMITIAN_TOL
+
+
+@pytest.mark.parametrize("n", [128, 300])
+def test_hermitian_residual_matches_full_transpose(n):
+    # row blocks of 128: one whole block, and a ragged last block
+    rng = np.random.default_rng(n)
+    m = rng.random((n, n)) + 1j * rng.random((n, n))
+    assert _hermitian_residual(m) == np.max(np.abs(m - m.conj().T))
+    h = m + m.conj().T
+    assert _hermitian_residual(h) == 0.0
+    assert _hermitian_residual(h.real) == 0.0
+    h[n - 1, 0] += 0.25
+    assert _hermitian_residual(h) == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_povm_validity_catches_negative_element(povm_cases, case):
+    # eps e_0 e_0^T moved from M_1 to M_perp keeps completeness and
+    # Hermiticity; e_0^T M_1 e_0 is below eps, so M_1 is no longer positive
+    eps = 1e-6
+    povm = povm_cases[case]
+    m1, m2, m_perp = povm.elements
+    assert abs(m1[0, 0]) < eps / 2
+    m1[0, 0] -= eps
+    m_perp[0, 0] += eps
+    report = povm_validity_bruteforce(povm, (m1, m2, m_perp))
+    assert not report["passed"]
+    assert report["elements"]["m1"]["min_eig"] < -eps / 2
+    assert report["completeness_residual"] <= 1e-8
+    assert report["hermitian_residual"] <= _HERMITIAN_TOL
+
+
+@pytest.mark.parametrize("shape", ["rectangular", "truncated-gaussian", "raised-cosine"])
+def test_profile_phases_match_complex_exponential(shape):
+    amp = make_amplitude(shape, 10.0, 1.0).delayed(3.0)
+    taus = np.linspace(-40.0, 40.0, 301)
+    lo, hi = amp.support
+    x, w = np.polynomial.legendre.leggauss(256)
+    k = 0.5 * (hi - lo) * x + 0.5 * (lo + hi)
+    wk = 0.5 * (hi - lo) * w
+    vals = amp(k)
+    vals = vals / math.sqrt(float(wk @ np.abs(vals) ** 2))
+    # the cos/sin of the real phase gives exactly the complex exponential
+    ref = np.abs(np.exp(-1j * np.outer(taus, k)) @ (wk * vals) / math.sqrt(2 * math.pi)) ** 2
+    assert np.array_equal(_profile_sq(amp, taus, 256), ref)
 
 
 def test_parity_exhaustive_single_channel():
