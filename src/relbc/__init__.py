@@ -15,7 +15,6 @@ from .spectra import (
     disjoint_pair,
     gauss_legendre_grid,
     grid_for_amplitudes,
-    grid_from_spec,
     make_amplitude,
     overlap,
     sample,
@@ -24,13 +23,11 @@ from .spectra import (
 from .window import (
     DenseBudgetError,
     WindowOperator,
-    bilinear_form,
     bilinear_forms,
     build_offset_window,
     build_window,
     detect_prob,
     detect_probs,
-    perp_prob,
     window_spectrum,
 )
 from .measurement import (
@@ -66,9 +63,7 @@ from .attacks import (
     HONEST,
     Strategy,
     cheat_detection_prob,
-    early_binding_advantage,
     early_binding_advantages,
-    per_channel_flag_prob,
     per_channel_flag_probs,
     required_bandwidth,
     transmitted_state,

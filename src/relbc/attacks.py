@@ -29,8 +29,8 @@ class Strategy:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.tau0 < 0:
-            raise ValueError("delay must be non-negative")
+        if not 0 <= self.tau0 < math.inf:
+            raise ValueError(f"delay tau0 must be finite and non-negative, got {self.tau0!r}")
         if self.kind == "wrong_state" and self.amplitude is None:
             raise ValueError("wrong_state strategy needs an amplitude")
 
@@ -87,17 +87,6 @@ def per_channel_flag_probs(
     return flags
 
 
-def per_channel_flag_prob(
-    strategy: Strategy,
-    ctx: protocol.ProtocolContext,
-    family: str,
-    T: float,
-    claimed_bit: int = 0,
-) -> float:
-    """``per_channel_flag_probs`` at one window parameter T."""
-    return per_channel_flag_probs(strategy, ctx, family, [T], claimed_bit)[0]
-
-
 def cheat_detection_prob(
     strategy: Strategy,
     n_channels: int,
@@ -106,7 +95,7 @@ def cheat_detection_prob(
     T: float,
 ) -> float:
     """Probability at least one of N channels flags: 1 - (1 - q)^N."""
-    q = per_channel_flag_prob(strategy, ctx, family, T)
+    q = per_channel_flag_probs(strategy, ctx, family, [T])[0]
     return 1.0 - (1.0 - q) ** n_channels
 
 
@@ -171,15 +160,6 @@ def early_binding_advantages(
         )
         for p in window.detect_probs(windows, ctx.psi1)
     ]
-
-
-def early_binding_advantage(
-    config: protocol.CommitConfig,
-    t_probe: float,
-    ctx: protocol.ProtocolContext | None = None,
-) -> tuple[float, float, float]:
-    """``early_binding_advantages`` at one probe time."""
-    return early_binding_advantages(config, [t_probe], ctx)[0]
 
 
 def required_bandwidth(

@@ -13,6 +13,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -72,8 +73,8 @@ def _floats(values) -> list[float]:
 def _positive(values) -> list[float]:
     values = _floats(values)
     for v in values:
-        if not v > 0:
-            raise ValueError(f"entries must be positive, got {v!r}")
+        if not 0 < v < math.inf:
+            raise ValueError(f"entries must be positive and finite, got {v!r}")
     return values
 
 
@@ -93,8 +94,15 @@ def _shapes(values) -> list[str]:
     return values
 
 
+def _integer(value) -> int:
+    """An integral count; a fractional float or a JSON boolean is refused."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _bit(value) -> int:
-    bit = int(value)
+    bit = _integer(value)
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
     return bit
@@ -174,7 +182,7 @@ def _protocol_config(cfg: dict, seed: int) -> protocol.CommitConfig:
     k2 = _require(cfg, "k2")
     try:
         return protocol.CommitConfig(
-            n_channels=_require(cfg, "n_channels", int),
+            n_channels=_require(cfg, "n_channels", _integer),
             amp1=make_amplitude(shape, k1, delta),
             amp2=make_amplitude(shape, k2, delta),
             t_open=_require(cfg, "t_open"),
@@ -271,17 +279,15 @@ def cmd_attack(args) -> int:
 def cmd_validate(args) -> int:
     lines = [f"# relbc {__version__} validate"]
     failures = 0
-    amp1, amp2 = make_amplitude("rectangular", 12.0, 1.0), make_amplitude(
-        "rectangular", 10.0, 1.0
-    )
-    grid = grid_for_amplitudes([amp1, amp2], T=10.0)
-    psi1, psi2 = sample(amp1, grid), sample(amp2, grid)
+    ctx = protocol.ProtocolContext(protocol.CommitConfig(
+        n_channels=1,
+        amp1=make_amplitude("rectangular", 12.0, 1.0),
+        amp2=make_amplitude("rectangular", 10.0, 1.0),
+        t_open=10.0,
+    ))
     for family in ("support", "state"):
         for T in (0.1, 1.0, 10.0):
-            if family == "support":
-                povm = measurement.support_povm(grid, amp1.support, amp2.support, T)
-            else:
-                povm = measurement.state_povm(psi1, psi2, T)
+            povm = ctx.povm(T, family)
             elements = povm.elements
             if args.inject_corruption:
                 elements[0][0, -1] = -elements[0][0, -1] - 0.5
@@ -322,6 +328,17 @@ def cmd_validate(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_INVARIANT
 
 
+def _run_count(text: str) -> int:
+    """``--runs``: a non-negative integer; anything else is a usage error."""
+    try:
+        runs = int(text)
+    except ValueError:
+        runs = -1
+    if runs < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return runs
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="path to a JSON config file")
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
@@ -344,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         p.set_defaults(func=fn)
         if name == "run":
-            p.add_argument("--runs", type=int, default=1)
+            p.add_argument("--runs", type=_run_count, default=1)
         if name == "validate":
             p.add_argument("--inject-corruption", action="store_true",
                            help=argparse.SUPPRESS)

@@ -78,7 +78,6 @@ class CommitTranscript:
     config: CommitConfig
     record: CommitRecord
     outcomes: tuple[int, ...]
-    measure_time: float
     verdict: str
 
     def to_json(self) -> dict:
@@ -91,7 +90,7 @@ class CommitTranscript:
             "bit": self.record.bit,
             "channel_bits": list(self.record.channel_bits),
             "outcomes": list(self.outcomes),
-            "measure_time": self.measure_time,
+            "measure_time": self.config.t_open,
             "claimed_bit": self.record.bit,
             "claimed_channel_bits": list(self.record.channel_bits),
             "verdict": self.verdict,
@@ -186,19 +185,17 @@ def open_and_verify(
 def run_protocol(
     config: CommitConfig,
     bit: int,
-    rng: np.random.Generator | None = None,
-    ctx: ProtocolContext | None = None,
+    rng: np.random.Generator,
+    dists: tuple[measurement.OutcomeDist, measurement.OutcomeDist],
     record: CommitRecord | None = None,
-    dists: tuple[measurement.OutcomeDist, measurement.OutcomeDist] | None = None,
 ) -> CommitTranscript:
     """One full commit / measure / open / verify round.
 
-    ``record`` skips the commit draw when the channel bits were fixed
-    upstream.  ``dists`` are the outcome distributions per channel bit at
-    the measurement (``ProtocolContext.outcome_dists``); the honest
-    carriers' by default.  A's opened claims are always the committed record.
+    ``dists`` are the outcome distributions per channel bit at the
+    measurement (``ProtocolContext.outcome_dists``).  ``record`` skips the
+    commit draw when the channel bits were fixed upstream.  A's opened
+    claims are always the committed record.
     """
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
     if record is None:
         record = commit(config, bit, rng)
     elif record.bit != bit:
@@ -208,15 +205,11 @@ def run_protocol(
             f"record has {len(record.channel_bits)} channel bits, "
             f"config has {config.n_channels} channels"
         )
-    if dists is None:
-        ctx = ctx or ProtocolContext(config)
-        dists = ctx.outcome_dists(config.open_window)
     outcomes = tuple(measurement.sample_outcomes(dists, record.channel_bits, rng).tolist())
     return CommitTranscript(
         config=config,
         record=record,
         outcomes=outcomes,
-        measure_time=config.t_open,
         verdict=open_and_verify(config, record, outcomes, config.t_open),
     )
 
@@ -237,7 +230,7 @@ def run_many(
     ctx = ctx or ProtocolContext(config)
     dists = ctx.outcome_dists(config.open_window, sent)
     return [
-        run_protocol(config, bit, rng=np.random.default_rng([config.seed, i]), dists=dists)
+        run_protocol(config, bit, np.random.default_rng([config.seed, i]), dists)
         for i in range(runs)
     ]
 

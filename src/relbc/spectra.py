@@ -66,6 +66,9 @@ class SpectralAmplitude:
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}, expected one of {SHAPES}")
+        for name in ("k_c", "delta", "tau0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.delta <= 0:
             raise ValueError("bandwidth must be positive")
         if self.k_c - self.delta / 2 <= 0:
@@ -194,17 +197,6 @@ def gauss_legendre_grid(panels, nodes_per_panel: int) -> KGrid:
         weights=(half * w).ravel(),
         k_min=float(a[0]),
         k_max=float(b[-1]),
-    )
-
-
-def grid_from_spec(spec: dict) -> KGrid:
-    """Reproduce a grid from {k_min, k_max, panels, nodes_per_panel}."""
-    k_min = float(spec["k_min"])
-    k_max = float(spec["k_max"])
-    n_panels = int(spec["panels"])
-    edges = np.linspace(k_min, k_max, n_panels + 1)
-    return gauss_legendre_grid(
-        list(zip(edges[:-1], edges[1:])), int(spec["nodes_per_panel"])
     )
 
 

@@ -203,11 +203,6 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def bilinear_form(w: WindowOperator, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A^H W B for one window; returns (r_a, r_b).  See ``bilinear_forms``."""
-    return bilinear_forms([w], a, b)[0]
-
-
 def _check_grid(w: WindowOperator, state: SampledState):
     if state.grid is not w.grid and not np.array_equal(
         state.grid.nodes, w.grid.nodes
@@ -234,11 +229,6 @@ def detect_probs(windows, state: SampledState) -> list[float]:
 def detect_prob(w: WindowOperator, state: SampledState) -> float:
     """<psi| W_T |psi>: probability of detection inside the window."""
     return detect_probs([w], state)[0]
-
-
-def perp_prob(w: WindowOperator, state: SampledState) -> float:
-    """Probability of the inconclusive outcome: 1 - detect_prob."""
-    return 1.0 - detect_prob(w, state)
 
 
 def window_spectrum(w: WindowOperator) -> np.ndarray:

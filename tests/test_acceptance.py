@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from relbc import cli, measurement, oracle, protocol, window
-from relbc.attacks import Strategy, monte_carlo_detection_rate, per_channel_flag_prob, required_bandwidth
+from relbc.attacks import Strategy, monte_carlo_detection_rate, per_channel_flag_probs, required_bandwidth
 from relbc.spectra import SHAPES, disjoint_pair, grid_for_amplitudes, make_amplitude, sample
 
 
@@ -216,8 +216,8 @@ def test_criterion_09_attack_detection(long_run):
     sigma = math.sqrt(expect * (1.0 - expect) / runs)
     mixed_ok = abs(rate - expect) < 3.0 * sigma
     tau0 = 2.0 * math.pi / config.amp1.delta
-    q = per_channel_flag_prob(
-        Strategy(kind="delayed", tau0=tau0), ctx, "state", config.t_open
+    (q,) = per_channel_flag_probs(
+        Strategy(kind="delayed", tau0=tau0), ctx, "state", [config.t_open]
     )
     delayed_ok = q >= 0.95
     # phase-blindness of the support family, evaluated at the projective

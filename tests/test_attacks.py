@@ -7,9 +7,9 @@ from relbc.attacks import (
     HONEST,
     Strategy,
     cheat_detection_prob,
-    early_binding_advantage,
+    early_binding_advantages,
     monte_carlo_detection_rate,
-    per_channel_flag_prob,
+    per_channel_flag_probs,
     required_bandwidth,
     transmitted_state,
 )
@@ -82,33 +82,33 @@ def test_transmitted_state_wrong(ctx, config):
 def test_honest_support_flag_prob_is_zero(ctx, config):
     # an honest carrier lives entirely inside its own support projector
     for bit in (0, 1):
-        q = per_channel_flag_prob(HONEST, ctx, "support", config.t_open, bit)
+        (q,) = per_channel_flag_probs(HONEST, ctx, "support", [config.t_open], bit)
         assert q == 0.0
 
 
 def test_honest_state_flag_prob_vanishes(long_ctx):
     # the state family flags silence too, so q -> 0 only in the long window
-    q = per_channel_flag_prob(HONEST, long_ctx, "state", 1000.0)
+    (q,) = per_channel_flag_probs(HONEST, long_ctx, "state", [1000.0])
     assert q < 0.01
 
 
 def test_mixed_support_flag_prob_approaches_half(long_ctx):
-    q = per_channel_flag_prob(Strategy(kind="mixed"), long_ctx, "support", 1000.0)
+    (q,) = per_channel_flag_probs(Strategy(kind="mixed"), long_ctx, "support", [1000.0])
     assert abs(q - 0.5) < 0.01
 
 
 def test_delayed_state_flag_prob(long_ctx, config):
     # a delay of a full beat period nearly empties the claimed-state outcome
     tau0 = 2 * math.pi / config.amp1.delta
-    q = per_channel_flag_prob(
-        Strategy(kind="delayed", tau0=tau0), long_ctx, "state", 1000.0
+    (q,) = per_channel_flag_probs(
+        Strategy(kind="delayed", tau0=tau0), long_ctx, "state", [1000.0]
     )
     assert q >= 0.95
 
 
 def test_cheat_detection_closed_form(long_ctx):
     p = cheat_detection_prob(Strategy(kind="mixed"), 20, long_ctx, "support", 1000.0)
-    q = per_channel_flag_prob(Strategy(kind="mixed"), long_ctx, "support", 1000.0)
+    (q,) = per_channel_flag_probs(Strategy(kind="mixed"), long_ctx, "support", [1000.0])
     assert p == pytest.approx(1.0 - (1.0 - q) ** 20, rel=1e-12)
     assert p > 1.0 - 2.0 ** -19
 
@@ -132,7 +132,7 @@ def test_monte_carlo_deterministic(ctx, config):
 
 
 def test_early_binding_at_zero(config, ctx):
-    ind, coll, guess = early_binding_advantage(config, 0.0, ctx)
+    [(ind, coll, guess)] = early_binding_advantages(config, [0.0], ctx)
     assert ind == 0.0
     assert coll == 0.0
     assert guess == 0.5
@@ -142,13 +142,13 @@ def test_early_binding_consistency(config, ctx):
     t = 5.0
     w = build_window(ctx.grid, t)
     p = detect_prob(w, ctx.psi1)
-    ind, coll, guess = early_binding_advantage(config, t, ctx)
+    [(ind, coll, guess)] = early_binding_advantages(config, [t], ctx)
     n = config.n_channels
     assert ind == pytest.approx(p**n, rel=1e-12)
     assert coll == pytest.approx(p ** (n / 2), rel=1e-12)
     assert guess == pytest.approx(p**n + (1 - p**n) / 2, rel=1e-12)
     with pytest.raises(ValueError, match="probe"):
-        early_binding_advantage(config, config.t_open, ctx)
+        early_binding_advantages(config, [config.t_open], ctx)
 
 
 def test_required_bandwidth_bound_holds():
@@ -180,7 +180,7 @@ def test_windows_past_t_open_are_rejected(ctx, config):
     for call in (
         lambda: ctx.povm(t),
         lambda: ctx.outcome_dists(t),
-        lambda: per_channel_flag_prob(HONEST, ctx, "state", t),
+        lambda: per_channel_flag_probs(HONEST, ctx, "state", [t]),
         lambda: monte_carlo_detection_rate(HONEST, 3, ctx, "support", t, 10),
     ):
         with pytest.raises(ValueError, match=r"t = 30\.0 exceeds t_open = 20\.0"):

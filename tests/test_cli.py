@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,8 @@ from relbc.cli import (
 )
 from relbc.protocol import CommitConfig, ProtocolContext
 from relbc.spectra import SpectralAmplitude, make_amplitude
+
+NAN = float("nan")
 
 SWEEP_CFG = {
     "shapes": ["rectangular", "raised-cosine"],
@@ -223,6 +226,12 @@ def test_validate_ok(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "failures: 0" in text
     assert "FAIL" not in text
+    povms = [line.split(":")[0] for line in text.splitlines() if line.startswith("povm ")]
+    assert povms == [
+        f"povm family={family} T={T}"
+        for family in ("support", "state")
+        for T in (0.1, 1.0, 10.0)
+    ]
 
 
 def test_validate_detects_corruption(tmp_path):
@@ -236,6 +245,7 @@ def test_exit_codes(tmp_path, capsys):
     # usage errors
     assert main([]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE
+    assert main(["run", "--config", _write(tmp_path, RUN_CFG), "--runs", "-2"]) == EXIT_USAGE
     # config errors
     assert main(["sweep"]) == EXIT_CONFIG
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
@@ -268,11 +278,29 @@ def test_exit_codes(tmp_path, capsys):
         ("late", "attack", dict(RUN_CFG, times=[1.0, 1000.0]), ("'times'", "t_open = 20.0")),
         # a negative delay would push the measurement window past t_open
         ("negdelay", "run", dict(RUN_CFG, channel_delay=-10.0), ("channel_delay", "-10.0")),
+        # non-finite spectral parameters
+        ("deltanan", "run", dict(RUN_CFG, delta=NAN), ("delta", "nan")),
+        ("k1nan", "attack", dict(RUN_CFG, k1=NAN), ("k_c", "nan")),
+        ("kcnan", "sweep", dict(SWEEP_CFG, k_c=NAN), ("'k_c'", "nan")),
+        ("deltainf", "sweep", dict(SWEEP_CFG, deltas=[math.inf]), ("'deltas'", "inf")),
+        ("tau0nan", "attack", dict(RUN_CFG, adversary="delayed", tau0=NAN), ("tau0", "nan")),
+        ("wrongtau0", "run", dict(
+            RUN_CFG, adversary="wrong_state",
+            wrong_state={"shape": "rectangular", "k_c": 12.0, "delta": 1.0, "tau0": NAN},
+        ), ("tau0", "nan")),
+        # counts are not truncated
+        ("nfrac", "run", dict(RUN_CFG, n_channels=2.7), ("'n_channels'", "2.7")),
+        ("nbool", "run", dict(RUN_CFG, n_channels=True), ("'n_channels'", "True")),
+        ("ninf", "run", dict(RUN_CFG, n_channels=math.inf), ("'n_channels'", "inf")),
+        ("bitfrac", "run", dict(RUN_CFG, bit=0.9), ("'bit'", "0.9")),
     ):
         capsys.readouterr()
         assert main([cmd, "--config", _write(tmp_path, cfg, f"{name}.json")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert all(part in err for part in named), err
+    # an integral float is still a count
+    whole = _write(tmp_path, dict(RUN_CFG, n_channels=3.0, bit=1.0), "whole.json")
+    assert main(["run", "--config", whole, "--out", str(tmp_path / "whole.csv")]) == EXIT_OK
     # the old advisory --jobs option is gone
     assert main(["run", "--config", _write(tmp_path, RUN_CFG), "--jobs", "2"]) == EXIT_USAGE
     capsys.readouterr()

@@ -135,6 +135,7 @@ def test_run_protocol_honest_never_aborts(config, ctx):
         # A opens exactly what it committed
         j = t.to_json()
         assert (j["claimed_bit"], j["claimed_channel_bits"]) == (j["bit"], j["channel_bits"])
+        assert j["measure_time"] == config.t_open
 
 
 def test_run_protocol_deterministic(config, ctx):
@@ -147,17 +148,19 @@ def test_run_protocol_deterministic(config, ctx):
 
 def test_run_protocol_fixed_record(config, ctx):
     record = CommitRecord(bit=1, channel_bits=(1, 1, 1))
-    t = run_protocol(config, 1, np.random.default_rng(0), ctx, record=record)
+    dists = ctx.outcome_dists(config.open_window)
+    t = run_protocol(config, 1, np.random.default_rng(0), dists, record=record)
     assert t.record is record
     with pytest.raises(ValueError, match="parity"):
-        run_protocol(config, 0, np.random.default_rng(0), ctx, record=record)
+        run_protocol(config, 0, np.random.default_rng(0), dists, record=record)
 
 
 def test_run_protocol_record_length_check(config, ctx):
     # one channel bit on a three-channel config is not a record of this commit
     short = CommitRecord(bit=1, channel_bits=(1,))
+    dists = ctx.outcome_dists(config.open_window)
     with pytest.raises(ValueError, match="channel"):
-        run_protocol(config, 1, np.random.default_rng(0), ctx, record=short)
+        run_protocol(config, 1, np.random.default_rng(0), dists, record=short)
 
 
 def _reference_outcomes(dists, channel_bits, rng):

@@ -10,7 +10,6 @@ from relbc.spectra import (
     disjoint_pair,
     gauss_legendre_grid,
     grid_for_amplitudes,
-    grid_from_spec,
     make_amplitude,
     overlap,
     sample,
@@ -77,14 +76,6 @@ def test_grid_quadrature_exactness():
     assert abs(grid.weights.sum() - 3.0) < 1e-12
     # GL nodes integrate polynomials exactly
     assert abs(grid.weights @ grid.nodes**3 - (12.5**4 - 9.5**4) / 4) < 1e-9
-
-
-def test_grid_from_spec_roundtrip():
-    spec = {"k_min": 9.5, "k_max": 10.5, "panels": 2, "nodes_per_panel": 256}
-    g1 = grid_from_spec(spec)
-    g2 = grid_from_spec(spec)
-    assert np.array_equal(g1.nodes, g2.nodes)
-    assert np.array_equal(g1.weights, g2.weights)
 
 
 def test_amplitude_json_roundtrip():

@@ -11,7 +11,7 @@ from relbc.window import (
     build_offset_window,
     build_window,
     detect_prob,
-    perp_prob,
+    detect_probs,
     window_spectrum,
 )
 
@@ -28,7 +28,6 @@ def test_zero_window_is_zero_matrix(flat):
     w = build_window(grid, 0.0)
     assert np.all(w.matrix == 0)
     assert detect_prob(w, state) == 0.0
-    assert perp_prob(w, state) == 1.0
 
 
 def test_negative_window_rejected(flat):
@@ -86,16 +85,13 @@ def test_detect_monotone_in_T(flat):
     assert np.all(np.diff(ps) >= -1e-12)
 
 
-def test_perp_complement(flat):
-    _, grid, state = flat
-    w = build_window(grid, 3.0)
-    assert detect_prob(w, state) + perp_prob(w, state) == 1.0
-
-
 def test_perp_asymptotics(flat):
     _, grid, state = flat
-    assert perp_prob(build_window(grid, 100.0), state) <= 0.01
-    assert perp_prob(build_window(grid, 0.001), state) > 0.999
+    p_long, p_short = detect_probs(
+        [build_window(grid, 100.0), build_window(grid, 0.001)], state
+    )
+    assert 1.0 - p_long <= 0.01
+    assert 1.0 - p_short > 0.999
 
 
 def test_infinite_window_is_identity(flat):
