@@ -138,7 +138,7 @@ def monte_carlo_detection_rate(
 def early_binding_advantages(
     config: protocol.CommitConfig,
     t_probes,
-    ctx: protocol.ProtocolContext | None = None,
+    ctx: protocol.ProtocolContext,
 ) -> list[tuple[float, float, float]]:
     """B's parity-identification success from measuring at each t_probe.
 
@@ -149,7 +149,6 @@ def early_binding_advantages(
     t_probes = list(t_probes)
     if any(not 0.0 <= t < config.t_open for t in t_probes):
         raise ValueError("probe time must lie in [0, t_open)")
-    ctx = ctx or protocol.ProtocolContext(config)
     windows = [window.build_window(ctx.grid, t) for t in t_probes]
     n = config.n_channels
     return [

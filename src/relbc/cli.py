@@ -70,12 +70,15 @@ def _floats(values) -> list[float]:
     return [float(v) for v in values]
 
 
+def _positive_number(value) -> float:
+    value = float(value)
+    if not 0 < value < math.inf:
+        raise ValueError(f"must be positive and finite, got {value!r}")
+    return value
+
+
 def _positive(values) -> list[float]:
-    values = _floats(values)
-    for v in values:
-        if not 0 < v < math.inf:
-            raise ValueError(f"entries must be positive and finite, got {v!r}")
-    return values
+    return [_positive_number(v) for v in values]
 
 
 def _non_negative(values) -> list[float]:
@@ -176,15 +179,17 @@ def cmd_sweep(args) -> int:
 
 
 def _protocol_config(cfg: dict, seed: int) -> protocol.CommitConfig:
-    shape = cfg.get("shape", "rectangular")
-    delta = _require(cfg, "delta")
-    k1 = _require(cfg, "k1")
-    k2 = _require(cfg, "k2")
+    shape = _require(cfg, "shape", lambda v: _shapes([v])[0], default="rectangular")
+    delta = _require(cfg, "delta", _positive_number)
+    amp1, amp2 = (
+        _require(cfg, key, lambda k: make_amplitude(shape, float(k), delta))
+        for key in ("k1", "k2")
+    )
     try:
         return protocol.CommitConfig(
             n_channels=_require(cfg, "n_channels", _integer),
-            amp1=make_amplitude(shape, k1, delta),
-            amp2=make_amplitude(shape, k2, delta),
+            amp1=amp1,
+            amp2=amp2,
             t_open=_require(cfg, "t_open"),
             t_probe=_require(cfg, "t_probe", default=0.0),
             povm_family=cfg.get("family", "state"),

@@ -42,8 +42,10 @@ class CommitConfig:
     def __post_init__(self):
         if self.n_channels < 1:
             raise ValueError("need at least one channel")
-        if not self.channel_delay >= 0:
-            raise ValueError(f"channel_delay must be non-negative, got {self.channel_delay!r}")
+        if not 0 <= self.channel_delay < math.inf:
+            raise ValueError(
+                f"channel_delay must be finite and non-negative, got {self.channel_delay!r}"
+            )
         if not 0.0 <= self.t_probe < self.t_open:
             raise ValueError("probe time must satisfy 0 <= t_probe < t_open")
         if self.povm_family not in FAMILIES:
@@ -217,8 +219,8 @@ def run_protocol(
 def run_many(
     config: CommitConfig,
     runs: int,
-    bit: int = 0,
-    ctx: ProtocolContext | None = None,
+    bit: int,
+    ctx: ProtocolContext,
     sent=None,
 ) -> list[CommitTranscript]:
     """Independent seeded runs; run i uses the stream (seed, i).
@@ -227,7 +229,6 @@ def run_many(
     ``ProtocolContext.outcome_dists``); their distributions are computed
     once for the whole batch.
     """
-    ctx = ctx or ProtocolContext(config)
     dists = ctx.outcome_dists(config.open_window, sent)
     return [
         run_protocol(config, bit, np.random.default_rng([config.seed, i]), dists)

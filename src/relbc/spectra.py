@@ -25,8 +25,10 @@ _GAUSS_SUPPORT_SIGMAS = 3.0
 # higher-order rule (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).
 _RULE = 256
 
-# Largest grid grid_for_amplitudes builds (64 MiB of nodes and weights);
-# the O(n^2) window forms on it would take hours.
+# Largest grid grid_for_amplitudes builds (64 MiB of nodes and weights).
+# The far field of a window form grows as (24 n / 256)^2 kernel entries: one
+# detection probability took 4.3 s at 3.0e5 nodes and 18.6 s at 6.0e5 nodes
+# (2 vCPUs, OpenBLAS), so on this grid it would take about 15 minutes.
 MAX_GRID_NODES = 1 << 22
 
 
@@ -152,20 +154,29 @@ def disjoint_pair(
 
 @dataclass(frozen=True)
 class KGrid:
-    """Composite Gauss-Legendre quadrature grid on [k_min, k_max]."""
+    """Composite Gauss-Legendre grid: one ``rule``-point rule on each sub-panel.
+
+    Sub-panel p spans [panel_edges[p], panel_edges[p + 1]] and holds nodes
+    p * rule to (p + 1) * rule - 1.  The window forms use this layout: each
+    sub-panel's self block of 1/(k - k') comes from the rule alone.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
-    k_min: float
-    k_max: float
+    panel_edges: np.ndarray
+    rule: int
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
+        edges = np.asarray(self.panel_edges, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "panel_edges", edges)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise ValueError("nodes and weights must be matching 1-D arrays")
+        if edges.ndim != 1 or nodes.size != self.rule * (edges.size - 1):
+            raise ValueError("grid must hold one rule of nodes per sub-panel")
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("grid nodes must be strictly increasing")
         if not np.all(weights > 0):
@@ -173,6 +184,14 @@ class KGrid:
         span = self.k_max - self.k_min
         if abs(weights.sum() - span) > 1e-12 * max(span, 1.0):
             raise ValueError("weights do not integrate the constant 1 over the span")
+
+    @property
+    def k_min(self) -> float:
+        return float(self.panel_edges[0])
+
+    @property
+    def k_max(self) -> float:
+        return float(self.panel_edges[-1])
 
     @property
     def size(self) -> int:
@@ -190,13 +209,14 @@ def gauss_legendre_grid(panels, nodes_per_panel: int) -> KGrid:
         raise ValueError("panel endpoints must be ascending")
     if np.any(np.abs(b[:-1] - a[1:]) > 1e-12 * np.maximum(np.abs(b[:-1]), 1.0)):
         raise ValueError("panels must be contiguous")
-    x, w = _leggauss(int(nodes_per_panel))
+    rule = int(nodes_per_panel)
+    x, w = _leggauss(rule)
     half = (0.5 * (b - a))[:, None]
     return KGrid(
         nodes=(half * x + (0.5 * (a + b))[:, None]).ravel(),
         weights=(half * w).ravel(),
-        k_min=float(a[0]),
-        k_max=float(b[-1]),
+        panel_edges=np.append(a, b[-1]),
+        rule=rule,
     )
 
 

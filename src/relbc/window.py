@@ -6,15 +6,26 @@ normalized state is the detection probability inside the window (-T, T):
 the fraction of the wavepacket's energy the apparatus has causal access to.
 
 The operator is held as (grid, T, center) and never stored as a matrix.
-Every probability is a bilinear form A^H W B over the nonzero rows of A
-and of B only, and ``bilinear_forms`` evaluates it for every window of a
-call on one grid at once.  The form splits the kernel as
+Every probability is a bilinear form A^H W B over the sub-panels that hold
+nonzero rows of A and of B, and ``bilinear_forms`` evaluates it for every
+window of a call on one grid at once.  The form splits the kernel as
 sin((k - k')T) = sin(kT) cos(k'T) - cos(kT) sin(k'T), so it takes O(n)
-sines and cosines per window and then only the T-independent Cauchy
-entries 1/(k - k'), one row block of at most ``_BLOCK_ENTRIES`` entries at
-a time.  Each block is built once for all windows of the call: its memory
-stays O(n) on any grid, and an op's several windows share one O(n^2)
-pass.  The dense matrix
+sines and cosines per window and then one product with the T-independent
+Cauchy matrix C = 1/(k - k') for all windows of the call.  C is applied
+sub-panel by sub-panel, in the one-level form of the fast multipole method
+(Greengard & Rokhlin 1987):
+
+* self blocks are the rule's own 1/(x_i - x_j), built once per process
+  and scaled by 1 / half-width;
+* other near pairs (gap smaller than the wider sub-panel) are built from
+  the nodes;
+* every far pair goes through ``_PROXIES`` Chebyshev proxies per
+  sub-panel (Fong & Darve 2009), which keeps the far field to rounding
+  level and costs (n p / rule)^2 instead of n^2 kernel entries.
+
+A step builds at most ``_BLOCK_ENTRIES`` kernel entries, or one
+sub-panel's proxies against all others' (p^2 per sub-panel) on grids past
+about 4.7e5 nodes, so memory stays O(n) on any grid.  The dense matrix
 (``WindowOperator.matrix``) uses the direct kernel; it is computed on
 access for the spectrum and small-grid checks, where it is the reference
 the forms are tested against, and is refused past ``DENSE_MAX_N`` nodes
@@ -25,15 +36,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .spectra import KGrid, SampledState
+from .spectra import KGrid, SampledState, _leggauss
 
 _EIG_SLACK = 1e-9
 
-# Cauchy entries evaluated at once by bilinear_forms (8 MiB as float64).
+# Kernel entries the Cauchy operator builds at once (8 MiB as float64).
 _BLOCK_ENTRIES = 1 << 20
+
+# Chebyshev proxies per sub-panel in the far field.  Sub-panels interact
+# through proxies when the gap between them is at least the wider one's
+# width, so 1/(k - k') is smooth over both: the pole lies at least three
+# half-widths from either centre, and p = 24 proxies interpolate it to
+# rounding level (Fong & Darve, J. Comput. Phys. 228, 2009).
+_PROXIES = 24
+# A gap this close to the wider width counts as far, so that equal
+# sub-panels two apart are far whatever the rounding of their edges.
+_FAR_GAP = 1.0 - 1e-9
 
 # Largest grid whose dense n x n matrices may be materialised: one complex
 # matrix at this size takes 256 MiB.
@@ -118,20 +140,20 @@ def build_offset_window(grid: KGrid, tau_a: float, tau_b: float) -> WindowOperat
 def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A^H W_j B for windows W_j on one grid; returns (m, r_a, r_b).
 
-    A is (n, r_a) and B is (n, r_b).  Only the nonzero rows of A and of B
-    take part, so disjoint supports give an exact 0.0 for every window.
-    With phi = (k - k_ref) T about the grid midpoint k_ref,
-    sin((k - k')T) = sin(phi) cos(phi') - cos(phi) sin(phi'), so
+    A is (n, r_a) and B is (n, r_b).  Only the sub-panels holding nonzero
+    rows of A and of B take part, and an all-zero side gives an exact 0.0
+    for every window.  With phi = (k - k_ref) T about the grid midpoint
+    k_ref, sin((k - k')T) = sin(phi) cos(phi') - cos(phi) sin(phi'), so
 
         A^H W B = [(sA)^H C (cB) - (cA)^H C (sB)] / pi + (T / pi) sum_i A_i^* B_i,
 
     where A and B are scaled by sqrt(w) (and, off centre, by
     exp(-i (k - k_ref) center)), s and c are sin(phi) and cos(phi) on their
-    rows, and C = 1/(k - k') with a zero diagonal.  The O(n) sines and
-    cosines are taken once per window.  C does not depend on T: it is built
-    once per row block of at most _BLOCK_ENTRIES entries and meets the
-    stacked [cB, sB] of every finite window in one real GEMM.  T = inf
-    windows are the identity.
+    rows, and C = 1/(k - k') with a zero diagonal.  The scaling, the
+    (rows x windows) sines and cosines and the diagonal sum are taken once
+    per call; C, which does not depend on T, is applied once to the stacked
+    [cB, sB] of every finite window (``_near_field`` and ``_far_field``).
+    T = inf windows are the identity.
     """
     windows = list(windows)
     out = np.zeros((len(windows), a.shape[1], b.shape[1]), dtype=complex)
@@ -141,66 +163,152 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if any(w.grid is not grid and not np.array_equal(w.grid.nodes, grid.nodes)
            for w in windows):
         raise ValueError("windows live on different grids")
-    rows = np.flatnonzero(np.any(a != 0, axis=1))
-    cols = np.flatnonzero(np.any(b != 0, axis=1))
-    if rows.size == 0 or cols.size == 0:
+    row_nz, col_nz = a.any(axis=1), b.any(axis=1)
+    if not row_nz.any() or not col_nz.any():
         return out
-    common = np.intersect1d(rows, cols, assume_unique=True)
-    finite = []
-    for j, w in enumerate(windows):
-        if math.isinf(w.T):
-            out[j] += a[common].conj().T @ b[common]
-        else:
-            finite.append(j)
+    common = np.flatnonzero(row_nz & col_nz)
+    a_c, b_c = a[common].conj().T, b[common]
+    full = [j for j, w in enumerate(windows) if math.isinf(w.T)]
+    if full:
+        out[full] = a_c @ b_c
+    finite = [j for j, w in enumerate(windows) if not math.isinf(w.T)]
     if not finite:
         return out
-    k = grid.nodes
+    r = grid.rule
+    rp = np.flatnonzero(row_nz.reshape(-1, r).any(axis=1))
+    cp = np.flatnonzero(col_nz.reshape(-1, r).any(axis=1))
+    rows = (rp[:, None] * r + np.arange(r)).ravel()
+    cols = (cp[:, None] * r + np.arange(r)).ravel()
+    ts = np.array([windows[j].T for j in finite])
+    centers = np.array([windows[j].center for j in finite])
     # k - k_ref is exact where k lies within a factor 2 of k_ref
-    x = k - 0.5 * (grid.k_min + grid.k_max)
-    sw = np.sqrt(grid.weights)
+    x = grid.nodes - 0.5 * (grid.k_min + grid.k_max)
 
-    def scaled(m, idx, center):
-        f = (m[idx] * sw[idx, None]).astype(complex)
-        if center != 0.0:
-            f *= np.exp(-1j * center * x[idx])[:, None]
-        return f
+    def phases(idx):
+        phi = np.multiply.outer(x[idx], ts)
+        return np.sin(phi)[..., None], np.cos(phi)[..., None]
 
-    # positions where a row meets its own column (k = k'): C is zero there,
-    # and the removable singularity is the (T / pi) sum term
-    diag_r = np.searchsorted(rows, common)
-    diag_c = np.searchsorted(cols, common)
-    r_b = b.shape[1]
-    terms, cs_b = [], []
-    for j in finite:
-        w = windows[j]
-        a_t, b_t = scaled(a, rows, w.center), scaled(b, cols, w.center)
-        phi_r, phi_c = x[rows] * w.T, x[cols] * w.T
-        s_a = np.sin(phi_r)[:, None] * a_t
-        c_a = np.cos(phi_r)[:, None] * a_t
-        terms.append((j, s_a, c_a, w.T * (a_t[diag_r].conj().T @ b_t[diag_c])))
-        cs_b += [np.cos(phi_c)[:, None] * b_t, np.sin(phi_c)[:, None] * b_t]
-    # [c B, s B] of every window as one real (n_c, 4 r_b m) array, so each
-    # row block is one real GEMM
-    cs_b = np.hstack(cs_b).view(np.float64)
-    k_c = k[cols]
-    step = max(1, _BLOCK_ENTRIES // cols.size)
-    for start in range(0, rows.size, step):
-        stop = start + step
-        cauchy = np.subtract.outer(k[rows[start:stop]], k_c)
-        on = (diag_r >= start) & (diag_r < stop)
-        cauchy[diag_r[on] - start, diag_c[on]] = 1.0  # not 0: no division by zero
-        np.reciprocal(cauchy, out=cauchy)
-        cauchy[diag_r[on] - start, diag_c[on]] = 0.0
-        g = (cauchy @ cs_b).view(np.complex128)
-        for i, (j, s_a, c_a, _) in enumerate(terms):
-            g_c = g[:, 2 * i * r_b:(2 * i + 1) * r_b]
-            g_s = g[:, (2 * i + 1) * r_b:(2 * i + 2) * r_b]
-            out[j] += s_a[start:stop].conj().T @ g_c
-            out[j] -= c_a[start:stop].conj().T @ g_s
-    for j, _, _, diag in terms:
-        out[j] += diag
-        out[j] /= math.pi
+    sin_r, cos_r = phases(rows)
+    sin_c, cos_c = (sin_r, cos_r) if np.array_equal(rp, cp) else phases(cols)
+    sw = np.sqrt(grid.weights)[:, None]
+    b_t = _recentred(b[cols] * sw[cols], x[cols], centers)
+    # [c B, s B] of every window as one real (n_c, 4 r_b m) right-hand side
+    cs_b = np.empty((cols.size, ts.size, 2, b.shape[1]), dtype=complex)
+    cs_b[:, :, 0] = cos_c * b_t
+    cs_b[:, :, 1] = sin_c * b_t
+    cs_b = cs_b.reshape(cols.size, -1).view(np.float64)
+    g = np.zeros((rows.size, cs_b.shape[1]))
+    _near_field(grid, rp, cp, cs_b, g)
+    _far_field(grid, rp, cp, cs_b, g)
+    g = g.view(np.complex128).reshape(rows.size, ts.size, 2, -1)
+    g = sin_r * g[:, :, 0] - cos_r * g[:, :, 1]
+    a_t = _recentred(a[rows] * sw[rows], x[rows], centers).conj()
+    forms = a_t.transpose(1, 2, 0) @ g.transpose(1, 0, 2)
+    # where a row meets its own column (k = k') C is zero, and the
+    # removable singularity is the (T / pi) sum term
+    diag = a_c @ (b_c * grid.weights[common, None])
+    out[finite] = (forms + ts[:, None, None] * diag) / math.pi
     return out
+
+
+def _recentred(f: np.ndarray, x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """f exp(-i x c) for each window centre c, as (rows, windows, r)."""
+    if not np.any(centers):
+        return f[:, None, :]
+    return np.exp(-1j * np.multiply.outer(x, centers))[..., None] * f[:, None, :]
+
+
+@lru_cache(maxsize=8)
+def _rule_operators(rule: int):
+    """The rule's own Cauchy matrix and its Chebyshev interpolation matrix.
+
+    S[i, j] = 1/(x_i - x_j) on the rule's nodes in [-1, 1], zero on the
+    diagonal, so a sub-panel of half-width h has the self block S / h.
+    L[i, l] is the l-th Lagrange polynomial on the ``_PROXIES`` Chebyshev
+    points t_l, evaluated at x_i: L interpolates from the proxies to the
+    nodes and L^T anterpolates charges from the nodes to the proxies.
+    Returns (S, L, t).
+    """
+    x, _ = _leggauss(rule)
+    diff = np.subtract.outer(x, x)
+    np.fill_diagonal(diff, 1.0)
+    s = 1.0 / diff
+    np.fill_diagonal(s, 0.0)
+    theta = (np.arange(_PROXIES) + 0.5) * math.pi / _PROXIES
+    t = np.cos(theta)
+    # barycentric form with the Chebyshev weights (-1)^l sin(theta_l): exact
+    # at the proxies as rounded, so the kernel is reproduced to ~1e-15
+    q = np.sin(theta) * (-1.0) ** np.arange(_PROXIES) / np.subtract.outer(x, t)
+    interp = q / q.sum(axis=1, keepdims=True)
+    for arr in (s, interp, t):
+        arr.setflags(write=False)
+    return s, interp, t
+
+
+def _near(edges: np.ndarray, rp: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """near[i, j]: sub-panels rp[i] and cp[j] are the same or closer than the
+    wider of the two (up to ``_FAR_GAP``)."""
+    lo, hi, lo_c, hi_c = edges[rp], edges[rp + 1], edges[cp], edges[cp + 1]
+    gap = np.maximum(np.subtract.outer(lo_c, hi).T, np.subtract.outer(lo, hi_c))
+    return gap < _FAR_GAP * np.maximum.outer(hi - lo, hi_c - lo_c)
+
+
+def _near_field(grid: KGrid, rp, cp, y: np.ndarray, out: np.ndarray):
+    """Add the near part of C y to ``out``, on the nodes of sub-panels rp.
+
+    y holds one row per node of sub-panels cp.  A self block is the rule's,
+    scaled by 1 / half-width; another near pair's block is built from the
+    nodes.  Either is one rule x rule block, well within ``_BLOCK_ENTRIES``.
+    """
+    r, m, edges = grid.rule, y.shape[1], grid.panel_edges
+    s, _, _ = _rule_operators(r)
+    k = grid.nodes.reshape(-1, r)
+    half = 0.5 * np.diff(edges)
+    y, out = y.reshape(cp.size, r, m), out.reshape(rp.size, r, m)
+    step = max(1, _BLOCK_ENTRIES // cp.size)
+    for start in range(0, rp.size, step):
+        for i, j in zip(*np.nonzero(_near(edges, rp[start:start + step], cp))):
+            i += start
+            if rp[i] == cp[j]:
+                out[i] += s @ (y[j] / half[cp[j]])
+            else:
+                out[i] += np.reciprocal(np.subtract.outer(k[rp[i]], k[cp[j]])) @ y[j]
+
+
+def _far_field(grid: KGrid, rp, cp, y: np.ndarray, out: np.ndarray):
+    """Add the far part of C y to ``out``, on the nodes of sub-panels rp.
+
+    Every pair of sub-panels that is not ``_near`` interacts through
+    ``_PROXIES`` Chebyshev proxies per sub-panel: y is anterpolated to the
+    proxies of cp, the proxies interact through 1/(t - t'), and the result
+    is interpolated to the nodes of rp.  One step builds the proxy kernel of
+    a block of rp against all of cp: at most ``_BLOCK_ENTRIES`` entries, or
+    one sub-panel's proxies against all of cp's where that is more (past
+    ``_BLOCK_ENTRIES`` / p^2 sub-panels, about 4.7e5 nodes).
+    """
+    r, m, p, edges = grid.rule, y.shape[1], _PROXIES, grid.panel_edges
+    _, interp, t = _rule_operators(r)
+    lo, hi = edges[:-1], edges[1:]
+    offsets = 0.5 * (hi - lo)[:, None] * t
+    charges = (interp.T @ y.reshape(cp.size, r, m)).reshape(-1, m)
+    out = out.reshape(rp.size, r, m)
+    step = max(1, _BLOCK_ENTRIES // (p * p * cp.size))
+    for start in range(0, rp.size, step):
+        blk = rp[start:start + step]
+        near = _near(edges, blk, cp)
+        if near.all():
+            continue
+        # proxy distances from differences of edges, which are exact for
+        # edges within a factor 2 of each other: the distances keep their
+        # relative precision wherever the grid lies
+        mids = 0.5 * (np.subtract.outer(lo[blk], lo[cp]) + np.subtract.outer(hi[blk], hi[cp]))
+        kern = (mids[:, None, :, None] + offsets[blk, :, None, None]) - offsets[cp]
+        pairs = kern.transpose(0, 2, 1, 3)
+        pairs[near] = 1.0  # not 0: no division by zero
+        np.reciprocal(kern, out=kern)
+        pairs[near] = 0.0
+        kern = kern.reshape(blk.size * p, -1)
+        out[start:start + step] += interp @ (kern @ charges).reshape(blk.size, p, m)
 
 
 def _check_grid(w: WindowOperator, state: SampledState):

@@ -278,9 +278,12 @@ def test_exit_codes(tmp_path, capsys):
         ("late", "attack", dict(RUN_CFG, times=[1.0, 1000.0]), ("'times'", "t_open = 20.0")),
         # a negative delay would push the measurement window past t_open
         ("negdelay", "run", dict(RUN_CFG, channel_delay=-10.0), ("channel_delay", "-10.0")),
+        # an infinite delay would measure every channel with an empty window
+        ("infdelay", "run", dict(RUN_CFG, channel_delay=math.inf), ("channel_delay", "inf")),
         # non-finite spectral parameters
-        ("deltanan", "run", dict(RUN_CFG, delta=NAN), ("delta", "nan")),
-        ("k1nan", "attack", dict(RUN_CFG, k1=NAN), ("k_c", "nan")),
+        ("deltanan", "run", dict(RUN_CFG, delta=NAN), ("config key 'delta'", "nan")),
+        ("deltaneg", "run", dict(RUN_CFG, delta=-1.0), ("config key 'delta'", "-1.0")),
+        ("k1nan", "attack", dict(RUN_CFG, k1=NAN), ("config key 'k1'", "nan")),
         ("kcnan", "sweep", dict(SWEEP_CFG, k_c=NAN), ("'k_c'", "nan")),
         ("deltainf", "sweep", dict(SWEEP_CFG, deltas=[math.inf]), ("'deltas'", "inf")),
         ("tau0nan", "attack", dict(RUN_CFG, adversary="delayed", tau0=NAN), ("tau0", "nan")),
