@@ -161,7 +161,9 @@ def cmd_sweep(args) -> int:
                 amp = make_amplitude(shape, k_c * delta, delta)
             except ValueError as exc:
                 raise ConfigError(f"config key 'k_c': {exc}") from exc
-            grid = grid_for_amplitudes([amp], T=max(times, default=0.0))
+            # T = inf is the identity and needs no resolution
+            top = max((t for t in times if math.isfinite(t)), default=0.0)
+            grid = grid_for_amplitudes([amp], T=top)
             state = sample(amp, grid)
             for t in sorted(times):
                 w = window.build_window(grid, t)
@@ -344,13 +346,6 @@ def _run_count(text: str) -> int:
     return runs
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="path to a JSON config file")
-    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process: parsing leaves it unchanged."""
@@ -363,8 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
         ("validate", cmd_validate, "POVM validity and oracle agreement audit"),
     ):
         p = sub.add_parser(name, help=doc)
-        _add_common(p)
         p.set_defaults(func=fn)
+        # only the options each subcommand reads, but --seed on all of them,
+        # so that one argv form can drive every subcommand
+        if name != "validate":
+            p.add_argument("--config", help="path to a JSON config file")
+        p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+        p.add_argument("--out", help="output path (default: stdout)")
+        if name in ("sweep", "run"):
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         if name == "run":
             p.add_argument("--runs", type=_run_count, default=1)
         if name == "validate":

@@ -46,6 +46,8 @@ class CommitConfig:
             raise ValueError(
                 f"channel_delay must be finite and non-negative, got {self.channel_delay!r}"
             )
+        if not 0 < self.t_open < math.inf:
+            raise ValueError(f"t_open must be positive and finite, got {self.t_open!r}")
         if not 0.0 <= self.t_probe < self.t_open:
             raise ValueError("probe time must satisfy 0 <= t_probe < t_open")
         if self.povm_family not in FAMILIES:

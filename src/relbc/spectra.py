@@ -157,8 +157,9 @@ class KGrid:
     """Composite Gauss-Legendre grid: one ``rule``-point rule on each sub-panel.
 
     Sub-panel p spans [panel_edges[p], panel_edges[p + 1]] and holds nodes
-    p * rule to (p + 1) * rule - 1.  The window forms use this layout: each
-    sub-panel's self block of 1/(k - k') comes from the rule alone.
+    p * rule to (p + 1) * rule - 1.  The window forms apply 1/(k - k') from
+    this layout alone (the edges and the rule), not from the stored nodes,
+    which are that geometry rounded to ulp(k).
     """
 
     nodes: np.ndarray

@@ -12,13 +12,14 @@ window of a call on one grid at once.  The form splits the kernel as
 sin((k - k')T) = sin(kT) cos(k'T) - cos(kT) sin(k'T), so it takes O(n)
 sines and cosines per window and then one product with the T-independent
 Cauchy matrix C = 1/(k - k') for all windows of the call.  C is applied
-sub-panel by sub-panel, in the one-level form of the fast multipole method
-(Greengard & Rokhlin 1987):
+sub-panel by sub-panel (``_cauchy``), in the one-level form of the fast
+multipole method (Greengard & Rokhlin 1987), with every block taken from
+the sub-panel edges and the rule rather than from the stored nodes:
 
 * self blocks are the rule's own 1/(x_i - x_j), built once per process
   and scaled by 1 / half-width;
-* other near pairs (gap smaller than the wider sub-panel) are built from
-  the nodes;
+* other near pairs (gap smaller than the wider sub-panel) take
+  k - k' as a sum of non-negative terms, free of cancellation;
 * every far pair goes through ``_PROXIES`` Chebyshev proxies per
   sub-panel (Fong & Darve 2009), which keeps the far field to rounding
   level and costs (n p / rule)^2 instead of n^2 kernel entries.
@@ -152,7 +153,7 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rows, and C = 1/(k - k') with a zero diagonal.  The scaling, the
     (rows x windows) sines and cosines and the diagonal sum are taken once
     per call; C, which does not depend on T, is applied once to the stacked
-    [cB, sB] of every finite window (``_near_field`` and ``_far_field``).
+    [cB, sB] of every finite window (``_cauchy``).
     T = inf windows are the identity.
     """
     windows = list(windows)
@@ -197,10 +198,7 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     cs_b[:, :, 0] = cos_c * b_t
     cs_b[:, :, 1] = sin_c * b_t
     cs_b = cs_b.reshape(cols.size, -1).view(np.float64)
-    g = np.zeros((rows.size, cs_b.shape[1]))
-    _near_field(grid, rp, cp, cs_b, g)
-    _far_field(grid, rp, cp, cs_b, g)
-    g = g.view(np.complex128).reshape(rows.size, ts.size, 2, -1)
+    g = _cauchy(grid, rp, cp, cs_b).view(np.complex128).reshape(rows.size, ts.size, 2, -1)
     g = sin_r * g[:, :, 0] - cos_r * g[:, :, 1]
     a_t = _recentred(a[rows] * sw[rows], x[rows], centers).conj()
     forms = a_t.transpose(1, 2, 0) @ g.transpose(1, 0, 2)
@@ -245,57 +243,47 @@ def _rule_operators(rule: int):
     return s, interp, t
 
 
-def _near(edges: np.ndarray, rp: np.ndarray, cp: np.ndarray) -> np.ndarray:
-    """near[i, j]: sub-panels rp[i] and cp[j] are the same or closer than the
-    wider of the two (up to ``_FAR_GAP``)."""
-    lo, hi, lo_c, hi_c = edges[rp], edges[rp + 1], edges[cp], edges[cp + 1]
-    gap = np.maximum(np.subtract.outer(lo_c, hi).T, np.subtract.outer(lo, hi_c))
-    return gap < _FAR_GAP * np.maximum.outer(hi - lo, hi_c - lo_c)
+def _cauchy(grid: KGrid, rp: np.ndarray, cp: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """C y on the nodes of sub-panels rp, for y on the nodes of sub-panels cp.
 
-
-def _near_field(grid: KGrid, rp, cp, y: np.ndarray, out: np.ndarray):
-    """Add the near part of C y to ``out``, on the nodes of sub-panels rp.
-
-    y holds one row per node of sub-panels cp.  A self block is the rule's,
-    scaled by 1 / half-width; another near pair's block is built from the
-    nodes.  Either is one rule x rule block, well within ``_BLOCK_ENTRIES``.
-    """
-    r, m, edges = grid.rule, y.shape[1], grid.panel_edges
-    s, _, _ = _rule_operators(r)
-    k = grid.nodes.reshape(-1, r)
-    half = 0.5 * np.diff(edges)
-    y, out = y.reshape(cp.size, r, m), out.reshape(rp.size, r, m)
-    step = max(1, _BLOCK_ENTRIES // cp.size)
-    for start in range(0, rp.size, step):
-        for i, j in zip(*np.nonzero(_near(edges, rp[start:start + step], cp))):
-            i += start
-            if rp[i] == cp[j]:
-                out[i] += s @ (y[j] / half[cp[j]])
-            else:
-                out[i] += np.reciprocal(np.subtract.outer(k[rp[i]], k[cp[j]])) @ y[j]
-
-
-def _far_field(grid: KGrid, rp, cp, y: np.ndarray, out: np.ndarray):
-    """Add the far part of C y to ``out``, on the nodes of sub-panels rp.
-
-    Every pair of sub-panels that is not ``_near`` interacts through
-    ``_PROXIES`` Chebyshev proxies per sub-panel: y is anterpolated to the
-    proxies of cp, the proxies interact through 1/(t - t'), and the result
-    is interpolated to the nodes of rp.  One step builds the proxy kernel of
-    a block of rp against all of cp: at most ``_BLOCK_ENTRIES`` entries, or
+    Node a of sub-panel i lies at lo_i + h_i (1 + x_a) = hi_i - h_i (1 - x_a)
+    for the rule's nodes x and half-width h_i, and every block is taken from
+    that geometry.  Each step classifies its rows of rp against all of cp
+    once: a pair is near when its gap is below the wider width (up to
+    ``_FAR_GAP``).  A self block is the rule's S / h.  Another near pair,
+    i above j, has k_a - k'_b = (lo_i - hi_j) + h_i (1 + x_a) + h_j (1 - x_b),
+    a sum of non-negative terms, so its block is free of cancellation; i
+    below j takes the negated transpose of the mirrored block.  Far pairs go
+    through the proxies: y is anterpolated to the proxies of cp, they
+    interact through 1/(t - t'), and the result is interpolated to the nodes
+    of rp.  A step's proxy kernel has at most ``_BLOCK_ENTRIES`` entries, or
     one sub-panel's proxies against all of cp's where that is more (past
     ``_BLOCK_ENTRIES`` / p^2 sub-panels, about 4.7e5 nodes).
     """
     r, m, p, edges = grid.rule, y.shape[1], _PROXIES, grid.panel_edges
-    _, interp, t = _rule_operators(r)
+    s, interp, t = _rule_operators(r)
+    x, _ = _leggauss(r)
     lo, hi = edges[:-1], edges[1:]
-    offsets = 0.5 * (hi - lo)[:, None] * t
-    charges = (interp.T @ y.reshape(cp.size, r, m)).reshape(-1, m)
-    out = out.reshape(rp.size, r, m)
+    width = hi - lo
+    half = 0.5 * width
+    offsets = half[:, None] * t
+    y = y.reshape(cp.size, r, m)
+    charges = (interp.T @ y).reshape(-1, m)
+    out = np.zeros((rp.size, r, m))
     step = max(1, _BLOCK_ENTRIES // (p * p * cp.size))
     for start in range(0, rp.size, step):
         blk = rp[start:start + step]
-        near = _near(edges, blk, cp)
+        gap = np.maximum(np.subtract.outer(lo[cp], hi[blk]).T, np.subtract.outer(lo[blk], hi[cp]))
+        near = gap < _FAR_GAP * np.maximum.outer(width[blk], width[cp])
+        for i, j in zip(*np.nonzero(near)):
+            a, b = blk[i], cp[j]
+            if a == b:
+                out[start + i] += s @ (y[j] / half[b])
+                continue
+            up, dn = max(a, b), min(a, b)
+            dk = ((lo[up] - hi[dn]) + half[up] * (1.0 + x))[:, None] + half[dn] * (1.0 - x)
+            out[start + i] += (1.0 / dk if a > b else -1.0 / dk.T) @ y[j]
+            del dk  # not held while the step's proxy kernel is built
         if near.all():
             continue
         # proxy distances from differences of edges, which are exact for
@@ -309,6 +297,7 @@ def _far_field(grid: KGrid, rp, cp, y: np.ndarray, out: np.ndarray):
         pairs[near] = 0.0
         kern = kern.reshape(blk.size * p, -1)
         out[start:start + step] += interp @ (kern @ charges).reshape(blk.size, p, m)
+    return out.reshape(-1, m)
 
 
 def _check_grid(w: WindowOperator, state: SampledState):

@@ -1,12 +1,13 @@
 """The panel-structured Cauchy operator against direct sums on large grids.
 
-``window.bilinear_forms`` applies C = 1/(k - k') sub-panel by sub-panel:
-rule self blocks, near pairs built from the nodes, and far pairs through
-Chebyshev proxies.  The dense-matrix tests stop at n = 3072; these tests
-pin the far field to a direct sum at n = 15360 and 75264, the forms to
-the dense matrix on uneven sub-panels and to the direct blocked Cauchy sum
-at n = 15360, the flat packet to its closed form at T*delta = 2.5e5, and
-the memory of one far-field step.
+``window.bilinear_forms`` applies C = 1/(k - k') sub-panel by sub-panel
+(``window._cauchy``): rule self blocks, other near pairs from the sub-panel
+geometry without cancellation, and far pairs through Chebyshev proxies.
+The dense-matrix tests stop at n = 3072; these tests pin the far field to
+a direct sum at n = 15360 and 75264, the near field to an 80-bit sum at
+n = 1536 to 75264, the forms to the dense matrix on uneven sub-panels and
+to the direct blocked Cauchy sum at n = 15360, the flat packet to its
+closed form at T*delta = 2.5e5, and the memory of one operator step.
 """
 
 import math
@@ -32,35 +33,68 @@ def _carriers(t_open: float):
     return amp1, amp2, grid_for_amplitudes([amp1, amp2], T=t_open)
 
 
+def _geometry(grid):
+    """Sub-panel lower edges, upper edges and half-widths, and the rule's nodes."""
+    lo, hi = grid.panel_edges[:-1], grid.panel_edges[1:]
+    return lo, hi, 0.5 * (hi - lo), _leggauss(grid.rule)[0]
+
+
+def _nodes_of(grid, panels):
+    return (panels[:, None] * grid.rule + np.arange(grid.rule)).ravel()
+
+
 @pytest.mark.parametrize("t_open, n", [(1e4, 15360), (5e4, 75264)])
 def test_far_field_matches_direct_sum(t_open, n):
-    # The direct sum takes k - k' from the sub-panel edges and the rule's
-    # nodes, the geometry the grid is built from, as the operator does.
-    # The stored nodes are that geometry rounded to ulp(k) (about 2e-15
-    # here), which moves a sum over the nearest far sub-panels by up to
-    # 1e-13 of its size at n = 75264, as much as the bound under test.
+    # The operator is applied from the far sub-panels of p only, picked
+    # here by the operator's rule (gap at least the wider width), so every
+    # pair goes through the proxies.  The direct sum takes k - k' from the
+    # sub-panel edges and the rule's nodes, the geometry the operator uses.
     _, _, grid = _carriers(t_open)
     assert grid.size == n
     r, panels = grid.rule, grid.panel_edges.size - 1
-    lo, hi = grid.panel_edges[:-1], grid.panel_edges[1:]
-    half = 0.5 * (hi - lo)
-    x, _ = _leggauss(r)
+    lo, hi, half, x = _geometry(grid)
     cp = np.arange(panels)
     y = np.random.default_rng(9).standard_normal((n, 4))
     # both ends, the support edges and the middle of the grid
     for p in (0, 1, panels // 3, panels // 2, 2 * panels // 3, panels - 1):
-        far = np.zeros((r, 4))
-        window._far_field(grid, np.array([p]), cp, y, far)
+        gap = np.maximum(lo[cp] - hi[p], lo[p] - hi[cp])
+        far_src = cp[gap >= window._FAR_GAP * np.maximum(hi[p] - lo[p], hi - lo)]
+        far = window._cauchy(grid, np.array([p]), far_src, y[_nodes_of(grid, far_src)])
         direct = np.zeros((r, 4))
-        far_src = cp[~window._near(grid.panel_edges, np.array([p]), cp)[0]]
         for src in np.array_split(far_src, -(-far_src.size // 16)):
             # (k_i - k'_j) per far source sub-panel, in the layout of y
             gap = 0.5 * ((lo[p] - lo[src]) + (hi[p] - hi[src]))
             dk = gap[:, None, None] + half[p] * x[None, :, None] - (half[src, None] * x)[:, None, :]
-            cols = (src[:, None] * r + np.arange(r)).ravel()
-            direct += np.reciprocal(dk).transpose(1, 0, 2).reshape(r, -1) @ y[cols]
+            direct += np.reciprocal(dk).transpose(1, 0, 2).reshape(r, -1) @ y[_nodes_of(grid, src)]
         rel = np.max(np.abs(far - direct)) / np.max(np.abs(direct))
         assert rel < 1e-13, (p, rel)
+
+
+@pytest.mark.parametrize("t_open, n", [(1e3, 1536), (1e4, 15360), (5e4, 75264)])
+def test_near_field_matches_extended_precision(t_open, n):
+    # The near field of a sub-panel, its self block and both neighbours,
+    # against an 80-bit sum on the same geometry, with k - k' as a sum of
+    # non-negative terms.  Blocks built from the stored nodes, which are
+    # that geometry rounded to ulp(k), miss it by 5e-11 at n = 1536 and
+    # 5e-9 at n = 75264.
+    _, _, grid = _carriers(t_open)
+    assert grid.size == n
+    r, panels = grid.rule, grid.panel_edges.size - 1
+    lo, hi, half, x = (np.asarray(v, dtype=np.longdouble) for v in _geometry(grid))
+    y = np.random.default_rng(9).standard_normal((n, 4))
+    for p in (1, panels // 3, panels // 2, panels - 2):
+        src = np.array([p - 1, p, p + 1])
+        near = window._cauchy(grid, np.array([p]), src, y[_nodes_of(grid, src)])
+        ref = np.zeros((r, 4), dtype=np.longdouble)
+        for q, sign in ((p - 1, 1), (p + 1, -1)):
+            up, dn = max(p, q), min(p, q)
+            dk = (lo[up] - hi[dn]) + half[up] * (1 + x)[:, None] + half[dn] * (1 - x)
+            ref += sign / (dk if q < p else dk.T) @ y[_nodes_of(grid, np.array([q]))]
+        dk = half[p] * np.subtract.outer(x, x)
+        np.fill_diagonal(dk, np.inf)
+        ref += (1 / dk) @ y[_nodes_of(grid, np.array([p]))]
+        rel = float(np.max(np.abs(near - ref)) / np.max(np.abs(ref)))
+        assert rel <= 1e-14, (p, rel)
 
 
 @pytest.mark.parametrize("rule, panels", [(32, 40), (64, 20)])
@@ -163,17 +197,18 @@ def test_far_field_step_memory_at_n75264():
     _, _, grid = _carriers(5e4)
     panels = grid.panel_edges.size - 1
     cp = np.arange(panels)
-    # the target sub-panels of one far-field step
+    # the row sub-panels of one operator step
     rp = np.arange(window._BLOCK_ENTRIES // (window._PROXIES ** 2 * panels))
     assert rp.size >= 1
     y = np.ones((grid.size, 4))
-    out = np.zeros((rp.size * grid.rule, 4))
+    # the rule's operators are built once per process, not per step
+    window._rule_operators(grid.rule)
     tracemalloc.start()
     try:
-        window._far_field(grid, rp, cp, y, out)
+        window._cauchy(grid, rp, cp, y)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # the proxy kernel of the step (at most 8 MiB) and O(n) besides
-    print(f"one far-field step at n = {grid.size}: peak {peak} bytes")
+    print(f"one operator step at n = {grid.size}: peak {peak} bytes")
     assert peak < 8 * window._BLOCK_ENTRIES + 2**20, peak

@@ -82,6 +82,18 @@ def test_sweep_json_format(tmp_path):
     assert {"delta", "T", "shape", "p_detect"} <= set(payload["rows"][0])
 
 
+def test_sweep_infinite_time_keeps_finite_rows(tmp_path):
+    # T = inf is the identity: it does not size the grid of the finite rows
+    rows = {}
+    for name, times in (("finite", [1000.0]), ("mixed", [1000.0, math.inf])):
+        out = tmp_path / f"{name}.csv"
+        cfg = _write(tmp_path, {"deltas": [1.0], "times": times, "k_c": 10.0}, f"{name}.json")
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows[name] = out.read_text().splitlines()[4:]
+    assert rows["mixed"][0] == rows["finite"][0]
+    assert rows["mixed"][1].split(",")[3] == "1.0"
+
+
 def test_sweep_matches_closed_form(tmp_path):
     from relbc.oracle import detect_prob_flat_closed_form
 
@@ -246,6 +258,10 @@ def test_exit_codes(tmp_path, capsys):
     assert main([]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE
     assert main(["run", "--config", _write(tmp_path, RUN_CFG), "--runs", "-2"]) == EXIT_USAGE
+    # options a subcommand does not read are refused, not ignored
+    assert main(["attack", "--config", _write(tmp_path, RUN_CFG), "--format", "json"]) == EXIT_USAGE
+    assert main(["validate", "--config", _write(tmp_path, RUN_CFG)]) == EXIT_USAGE
+    assert main(["validate", "--format", "json"]) == EXIT_USAGE
     # config errors
     assert main(["sweep"]) == EXIT_CONFIG
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
@@ -280,6 +296,9 @@ def test_exit_codes(tmp_path, capsys):
         ("negdelay", "run", dict(RUN_CFG, channel_delay=-10.0), ("channel_delay", "-10.0")),
         # an infinite delay would measure every channel with an empty window
         ("infdelay", "run", dict(RUN_CFG, channel_delay=math.inf), ("channel_delay", "inf")),
+        # an infinite t_open would let any finite window past the grid
+        ("topeninf", "attack", dict(RUN_CFG, t_open=math.inf), ("t_open", "inf")),
+        ("topennan", "run", dict(RUN_CFG, t_open=NAN), ("t_open", "nan")),
         # non-finite spectral parameters
         ("deltanan", "run", dict(RUN_CFG, delta=NAN), ("config key 'delta'", "nan")),
         ("deltaneg", "run", dict(RUN_CFG, delta=-1.0), ("config key 'delta'", "-1.0")),

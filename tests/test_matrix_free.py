@@ -1,14 +1,13 @@
 """The matrix-free window forms against the dense matrices they replace.
 
-Every production probability is a bilinear form of the window operator
-evaluated block by block through the Cauchy split of its kernel; the dense
+Every production probability is a bilinear form of the window operator,
+evaluated through the Cauchy split of its kernel with one product with
+C = 1/(k - k') for all windows of a call; the dense
 ``WindowOperator.matrix`` and ``Povm.elements`` use the direct kernel and
-remain for small-grid checks only.  These tests pin the forms to
-Tr(rho M) and u^H W u from the dense matrices, bound the memory
-of one large-grid distribution, and check that dense materialisation past
-the budget fails before it allocates.  The multi-window kernel, which
-evaluates every window of a call against one Cauchy block per row block,
-is pinned to the per-window dense matrices in the same way.
+remain for small-grid checks only.  These tests pin the forms, one window
+or several per call, to Tr(rho M) and u^H W u from the dense matrices,
+bound the memory of one large-grid distribution, and check that dense
+materialisation past the budget fails before it allocates.
 """
 
 import math
