@@ -283,6 +283,23 @@ def cmd_attack(args) -> int:
     return EXIT_OK
 
 
+def _audit_povm(povm, corrupt: bool) -> tuple[bool, str]:
+    """The brute-force check of one POVM's dense elements, as (passed, line).
+
+    The elements and the report are dropped on return, so an audit never
+    holds two POVMs' elements at once.
+    """
+    elements = povm.elements
+    if corrupt:
+        elements[0][0, -1] = -elements[0][0, -1] - 0.5
+    report = oracle.povm_validity_bruteforce(povm, elements)
+    ok = report["passed"]
+    return ok, (
+        f"min_eig={report['min_eigenvalue']:.3e} "
+        f"residual={report['completeness_residual']:.3e} {'ok' if ok else 'FAIL'}"
+    )
+
+
 def cmd_validate(args) -> int:
     lines = [f"# relbc {__version__} validate"]
     failures = 0
@@ -294,18 +311,9 @@ def cmd_validate(args) -> int:
     ))
     for family in ("support", "state"):
         for T in (0.1, 1.0, 10.0):
-            povm = ctx.povm(T, family)
-            elements = povm.elements
-            if args.inject_corruption:
-                elements[0][0, -1] = -elements[0][0, -1] - 0.5
-            report = oracle.povm_validity_bruteforce(povm, elements)
-            ok = report["passed"]
+            ok, line = _audit_povm(ctx.povm(T, family), args.inject_corruption)
             failures += not ok
-            lines.append(
-                f"povm family={family} T={T}: min_eig={report['min_eigenvalue']:.3e} "
-                f"residual={report['completeness_residual']:.3e} "
-                f"{'ok' if ok else 'FAIL'}"
-            )
+            lines.append(f"povm family={family} T={T}: {line}")
     for shape in ("rectangular", "truncated-gaussian", "raised-cosine"):
         amp = make_amplitude(shape, 10.0, 1.0)
         for T in (0.1, 1.0, 10.0):

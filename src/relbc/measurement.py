@@ -81,16 +81,29 @@ class Povm:
         Real (float64) when the POVM is: a centred window and references
         whose imaginary part is exactly zero, as for undelayed carriers.
         Complex otherwise (an off-centre window or a delayed reference).
+        No n x n temporaries: the support family scales W's rows and then
+        its columns by the 0/1 indicators (exact, so the bits of
+        W * outer(ind, ind)); the state family forms W psi_i and drops W
+        before the outer products; M_perp is built in place as
+        (-M_1 + I) - M_2, the values of (I - M_1) - M_2.
         """
         w = self.window.matrix
         refs = self.refs
         if np.isrealobj(w) and not any(np.any(np.imag(r)) for r in refs):
             refs = tuple(np.real(r) for r in refs)
         if self.family == "support":
-            m1, m2 = (w * np.outer(ind, ind) for ind in refs)
+            m1, m2 = (w * ind[:, None] for ind in refs)
+            del w
+            for m, ind in zip((m1, m2), refs):
+                m *= ind
         else:
-            m1, m2 = (np.outer(b, np.conj(b)) for b in (w @ ref for ref in refs))
-        return m1, m2, np.eye(self.grid.size) - m1 - m2
+            bs = [w @ ref for ref in refs]
+            del w
+            m1, m2 = (np.outer(b, np.conj(b)) for b in bs)
+        m_perp = np.negative(m1)
+        m_perp[np.diag_indices_from(m_perp)] += 1.0
+        m_perp -= m2
+        return m1, m2, m_perp
 
 
 def support_povm(grid: KGrid, e1, e2, T: float) -> Povm:

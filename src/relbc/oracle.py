@@ -26,6 +26,11 @@ _SI_SPLIT = 8.0
 # elements measure at most 2e-18 (exactly 0 when they are real).
 _HERMITIAN_TOL = 1e-12
 
+# The time-domain quadrature evaluates at most this many refinements, and
+# doubles its k-nodes up to _MAX_NK (or keeps a larger starting count).
+_REFINEMENTS = 8
+_MAX_NK = 6000
+
 
 def sine_integral(x: float) -> float:
     """Si(x) = int_0^x sin(t)/t dt, accurate to ~1e-14 absolute."""
@@ -101,13 +106,31 @@ def _profile_sq(amplitude: SpectralAmplitude, taus: np.ndarray, nk: int) -> np.n
     return np.abs(psi) ** 2
 
 
+class TimeDomainConvergenceError(ValueError):
+    """The time-domain quadrature did not converge within its refinements."""
+
+    def __init__(self, amplitude: SpectralAmplitude, T: float, center: float,
+                 tol: float, last: tuple[float, float]):
+        self.shape, self.delta, self.tau0 = amplitude.shape, amplitude.delta, amplitude.tau0
+        self.T, self.center, self.tol, self.last = T, center, tol, last
+        super().__init__(
+            f"time-domain quadrature of a {self.shape} packet (delta={self.delta!r}, "
+            f"tau0={self.tau0!r}) over T={T!r} about {center!r} did not reach "
+            f"tol={tol!r} in {_REFINEMENTS} refinements: last two values {last[0]!r}, "
+            f"{last[1]!r}"
+        )
+
+
 def detect_prob_time_domain(
     amplitude: SpectralAmplitude, T: float, tol: float = 1e-8, center: float = 0.0
 ) -> float:
     """Direct tau-quadrature of |psi(tau)|^2 over (center - T, center + T).
 
     Panels are refined (doubled) until two successive evaluations agree to
-    ``tol`` absolute.  Never builds the window kernel.
+    ``tol`` absolute, and the k-nodes of the Fourier quadrature double with
+    them up to ``_MAX_NK`` (never below their starting count).  Raises
+    TimeDomainConvergenceError after ``_REFINEMENTS`` evaluations without
+    agreement.  Never builds the window kernel.
     """
     if T < 0:
         raise ValueError("window half-width must be non-negative")
@@ -119,7 +142,7 @@ def detect_prob_time_domain(
     reach = T + abs(amplitude.tau0 - center) + abs(center)
     nk = max(128, int(math.ceil(delta * reach / 2)) + 80)
     prev = None
-    for _ in range(8):
+    for _ in range(_REFINEMENTS):
         edges = np.linspace(center - T, center + T, n_panels + 1)
         x, w = _gl(16)
         half = 0.5 * (edges[1] - edges[0])
@@ -128,18 +151,23 @@ def detect_prob_time_domain(
         val = float(wt @ _profile_sq(amplitude, taus, nk))
         if prev is not None and abs(val - prev) < tol:
             return val
+        last = (prev, val)
         prev = val
         n_panels *= 2
-        nk = min(2 * nk, 6000)
-    return prev
+        nk = max(nk, min(2 * nk, _MAX_NK))
+    raise TimeDomainConvergenceError(amplitude, T, center, tol, last)
 
 
 def _hermitian_residual(m: np.ndarray) -> float:
-    """max|M - M^H|, compared a block of 128 rows against the matching
-    columns at a time: a cache-friendly pass that allocates O(n) memory."""
+    """max|M - M^H| over the 128 x 128 tiles on and below the diagonal.
+
+    Each tile is compared with the conjugate transpose of its mirror tile,
+    so a pass allocates a few 128 x 128 arrays whatever n is.
+    """
+    n = m.shape[0]
     return max(
-        float(np.max(np.abs(m[i:i + 128] - m[:, i:i + 128].conj().T)))
-        for i in range(0, m.shape[0], 128)
+        float(np.max(np.abs(m[i:i + 128, j:j + 128] - m[j:j + 128, i:i + 128].conj().T)))
+        for i in range(0, n, 128) for j in range(0, i + 1, 128)
     )
 
 
@@ -150,7 +178,10 @@ def povm_validity_bruteforce(povm, elements=None) -> dict:
     by default.  Each element's max|M - M^H| is reported too and must stay
     within ``_HERMITIAN_TOL``: eigvalsh reads only the lower triangle, so
     its eigenvalues say nothing about an element that is not Hermitian.
-    Real elements take eigvalsh's real symmetric solver.
+    Real elements take eigvalsh's real symmetric solver.  Besides the three
+    elements the check holds one n x n work array at a time: eigvalsh's copy
+    of an element, or the sum (M_1 + M_2) + M_perp, from which the identity
+    is subtracted and whose modulus is taken in place.
     """
     elements = povm.elements if elements is None else elements
     report = {"family": povm.family, "T": povm.T, "elements": {}}
@@ -167,8 +198,10 @@ def povm_validity_bruteforce(povm, elements=None) -> dict:
         min_eig = min(min_eig, float(vals[0]))
         hermitian = max(hermitian, asym)
     m1, m2, m_perp = elements
-    total = m1 + m2 + m_perp
-    residual = float(np.max(np.abs(total - np.eye(total.shape[0]))))
+    work = m1 + m2
+    work += m_perp
+    work[np.diag_indices_from(work)] -= 1.0
+    residual = float(np.max(np.abs(work, out=work).real))
     report["min_eigenvalue"] = min_eig
     report["completeness_residual"] = residual
     report["hermitian_residual"] = hermitian

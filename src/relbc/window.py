@@ -90,8 +90,11 @@ class WindowOperator:
         The direct sin((k - k')T) / (pi (k - k')) kernel, independent of the
         split ``bilinear_forms`` uses.  Real for a centred window, complex
         (the phase exp(i (k - k') center)) otherwise; T = inf gives the
-        identity.  Raises DenseBudgetError before allocating when
-        n > DENSE_MAX_N.
+        identity.  Built in two n x n arrays (k - k' and the kernel) and a
+        boolean diagonal mask: k - k' is reused for pi (k - k') and then for
+        sqrt(w) sqrt(w)^T, and an off-centre window takes its phase (the
+        complex result) before that.  Raises DenseBudgetError before
+        allocating when n > DENSE_MAX_N.
         """
         n = self.grid.size
         if n > DENSE_MAX_N:
@@ -100,22 +103,25 @@ class WindowOperator:
             return np.eye(n)
         k = self.grid.nodes
         dk = np.subtract.outer(k, k)
+        same = dk == 0
         kern = dk * self.T
         np.sin(kern, out=kern)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kern /= math.pi * dk
-        # removable singularity where a row meets its own column
-        kern[dk == 0] = self.T / math.pi
-        sw = np.sqrt(self.grid.weights)
-        kern *= np.outer(sw, sw)
         if self.center != 0.0:
             # exp(i (k - k') center) as the cos and sin of its real phase
-            arg = dk * self.center
-            phase = np.empty(arg.shape, dtype=complex)
-            np.cos(arg, out=phase.real)
-            np.sin(arg, out=phase.imag)
-            kern = kern * phase
-        return kern
+            phase = np.empty(dk.shape, dtype=complex)
+            np.multiply(dk, self.center, out=phase.imag)
+            np.cos(phase.imag, out=phase.real)
+            np.sin(phase.imag, out=phase.imag)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kern /= np.multiply(math.pi, dk, out=dk)
+        # removable singularity where a row meets its own column
+        kern[same] = self.T / math.pi
+        sw = np.sqrt(self.grid.weights)
+        kern *= np.multiply.outer(sw, sw, out=dk)
+        if self.center == 0.0:
+            return kern
+        phase *= kern
+        return phase
 
 
 def build_window(grid: KGrid, T: float) -> WindowOperator:
@@ -153,8 +159,9 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rows, and C = 1/(k - k') with a zero diagonal.  The scaling, the
     (rows x windows) sines and cosines and the diagonal sum are taken once
     per call; C, which does not depend on T, is applied once to the stacked
-    [cB, sB] of every finite window (``_cauchy``).
-    T = inf windows are the identity.
+    [cB, sB] of every finite nonzero window (``_cauchy``).
+    T = inf windows are the identity, and T = 0 windows the zero operator:
+    they skip the phases and the product and give an exact 0.0.
     """
     windows = list(windows)
     out = np.zeros((len(windows), a.shape[1], b.shape[1]), dtype=complex)
@@ -172,7 +179,7 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     full = [j for j, w in enumerate(windows) if math.isinf(w.T)]
     if full:
         out[full] = a_c @ b_c
-    finite = [j for j, w in enumerate(windows) if not math.isinf(w.T)]
+    finite = [j for j, w in enumerate(windows) if w.T != 0.0 and not math.isinf(w.T)]
     if not finite:
         return out
     r = grid.rule

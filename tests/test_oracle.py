@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from relbc.measurement import outcome_dist, support_povm, state_povm
+from relbc import oracle
 from relbc.oracle import (
     _HERMITIAN_TOL,
+    TimeDomainConvergenceError,
     _hermitian_residual,
     _profile_sq,
     detect_prob_flat_closed_form,
@@ -104,6 +106,35 @@ def test_time_domain_delay_with_recentred_window():
     ref = detect_prob_time_domain(amp, 3.0)
     got = detect_prob_time_domain(amp.delayed(7.0), 3.0, center=7.0)
     assert abs(got - ref) < 1e-9
+
+
+def _fake_profile(calls):
+    """A stand-in for _profile_sq that records its k-node counts and never
+    converges: call c gives |psi|^2 = c at every tau."""
+    def profile(amplitude, taus, nk):
+        calls.append(nk)
+        return np.full(taus.size, float(len(calls)))
+    return profile
+
+
+@pytest.mark.parametrize("tau0, first_nk", [(0.0, 128), (2e4, 10081)])
+def test_time_domain_unconverged_raises_with_its_parameters(monkeypatch, tau0, first_nk):
+    calls = []
+    monkeypatch.setattr(oracle, "_profile_sq", _fake_profile(calls))
+    amp = make_amplitude("raised-cosine", 10.0, 1.0).delayed(tau0)
+    with pytest.raises(TimeDomainConvergenceError) as info:
+        detect_prob_time_domain(amp, 1.0, tol=1e-9)
+    err = info.value
+    assert isinstance(err, ValueError)
+    assert (err.shape, err.delta, err.tau0, err.T, err.tol) == (
+        "raised-cosine", 1.0, tau0, 1.0, 1e-9)
+    # the tau weights sum to 2T, so evaluation c gives 2c
+    assert len(calls) == 8 and err.last == pytest.approx((14.0, 16.0))
+    assert "raised-cosine" in str(err) and "tol=1e-09" in str(err)
+    # the k-nodes double up to the cap and never drop below where they began
+    assert calls[0] == first_nk
+    assert all(b >= a for a, b in zip(calls, calls[1:]))
+    assert calls[-1] == max(first_nk, 6000)
 
 
 def _build_povms():

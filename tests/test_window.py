@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from relbc import oracle
 from relbc.spectra import grid_for_amplitudes, make_amplitude, sample
 from relbc.window import (
+    bilinear_forms,
     build_offset_window,
     build_window,
     detect_prob,
@@ -99,6 +100,23 @@ def test_infinite_window_is_identity(flat):
     w = build_window(grid, math.inf)
     assert np.array_equal(w.matrix, np.eye(grid.size))
     assert detect_prob(w, state) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_zero_windows_give_exact_positive_zero_forms(flat):
+    amp, grid, state = flat
+    delayed = sample(amp.delayed(2.0), grid)
+    windows = [build_window(grid, 0.0), build_offset_window(grid, 3.0, 3.0),
+               build_window(grid, 1.0), build_window(grid, math.inf)]
+    u = np.column_stack([state.weighted(), delayed.weighted()])
+    forms = bilinear_forms(windows, u, u)
+    for zero in forms[:2]:
+        assert np.array_equal(zero, np.zeros_like(zero))
+        assert not np.any(np.signbit(zero.real)) and not np.any(np.signbit(zero.imag))
+    assert np.all(forms[2:].real > 0.0)
+    for s in (state, delayed):
+        probs = detect_probs(windows[:2], s)
+        assert probs == [0.0, 0.0]
+        assert not any(math.copysign(1.0, p) < 0 for p in probs)
 
 
 def test_phase_delay_equals_recentered_window(flat):
