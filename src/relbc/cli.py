@@ -18,7 +18,14 @@ import sys
 from pathlib import Path
 
 from . import __version__, attacks, measurement, oracle, protocol, window
-from .spectra import SHAPES, SpectralAmplitude, grid_for_amplitudes, make_amplitude, sample
+from .spectra import (
+    SHAPES,
+    GridResolutionError,
+    SpectralAmplitude,
+    grid_for_amplitudes,
+    make_amplitude,
+    sample,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -213,12 +220,24 @@ def _strategy(cfg: dict) -> attacks.Strategy:
         raise ConfigError(f"bad adversary spec: {exc}") from exc
 
 
+def _context(config: protocol.CommitConfig, strategy: attacks.Strategy) -> protocol.ProtocolContext:
+    """The config's protocol context; a wrong-state amplitude its grid cannot
+    resolve is a config error (the state is kept for the sender)."""
+    ctx = protocol.ProtocolContext(config)
+    if strategy.kind == "wrong_state":
+        try:
+            sample(strategy.amplitude, ctx.grid)
+        except GridResolutionError as exc:
+            raise ConfigError(f"config key 'wrong_state': {exc}") from exc
+    return ctx
+
+
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
     config = _protocol_config(cfg, args.seed)
     strategy = _strategy(cfg)
     bit = _require(cfg, "bit", _bit, default=0)
-    ctx = protocol.ProtocolContext(config)
+    ctx = _context(config, strategy)
     transcripts = protocol.run_many(
         config, args.runs, bit, ctx, sent=attacks.sent_pair(strategy, ctx)
     )
@@ -262,7 +281,7 @@ def cmd_attack(args) -> int:
             f"config key 'times': entries must lie within [0, t_open = {config.t_open!r}], "
             f"got {late[0]!r}"
         )
-    ctx = protocol.ProtocolContext(config)
+    ctx = _context(config, strategy)
     n = config.n_channels
     param = strategy.tau0 if strategy.kind == "delayed" else config.t_probe
     times = sorted(times)

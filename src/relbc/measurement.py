@@ -59,7 +59,8 @@ class Povm:
     """{M_1, M_2, M_perp} kept as the window plus two references.
 
     ``refs`` are the 0/1 indicator vectors of E_1, E_2 (support family) or
-    the weighted reference states psi_1, psi_2 (state family).
+    the weighted reference states psi_1, psi_2 (state family), read-only:
+    the POVMs of one ``ProtocolContext`` family share them.
     """
 
     family: str
@@ -83,8 +84,9 @@ class Povm:
         Complex otherwise (an off-centre window or a delayed reference).
         No n x n temporaries: the support family scales W's rows and then
         its columns by the 0/1 indicators (exact, so the bits of
-        W * outer(ind, ind)); the state family forms W psi_i and drops W
-        before the outer products; M_perp is built in place as
+        W * outer(ind, ind)); the state family forms W psi_i, with W cast
+        to complex once for complex references, and drops W before the
+        outer products; M_perp is built in place as
         (-M_1 + I) - M_2, the values of (I - M_1) - M_2.
         """
         w = self.window.matrix
@@ -97,6 +99,8 @@ class Povm:
             for m, ind in zip((m1, m2), refs):
                 m *= ind
         else:
+            if np.isrealobj(w) and np.iscomplexobj(refs[0]):
+                w = w.astype(complex)  # once, not once per reference
             bs = [w @ ref for ref in refs]
             del w
             m1, m2 = (np.outer(b, np.conj(b)) for b in bs)
@@ -113,6 +117,8 @@ def support_povm(grid: KGrid, e1, e2, T: float) -> Povm:
         raise ValueError("support intervals overlap")
     ind1 = ((grid.nodes > lo1) & (grid.nodes < hi1)).astype(float)
     ind2 = ((grid.nodes > lo2) & (grid.nodes < hi2)).astype(float)
+    for ind in (ind1, ind2):
+        ind.setflags(write=False)
     return Povm(family="support", window=build_window(grid, T), refs=(ind1, ind2))
 
 
@@ -178,7 +184,7 @@ def outcome_dists(povms, state_or_factor) -> list[OutcomeDist]:
     first = povms[0]
     for povm in povms[1:]:
         if povm.family != first.family or not all(
-            np.array_equal(r, r0) for r, r0 in zip(povm.refs, first.refs)
+            r is r0 or np.array_equal(r, r0) for r, r0 in zip(povm.refs, first.refs)
         ):
             raise ValueError("POVMs of one call must share family and references")
     f = _factor(first, state_or_factor)

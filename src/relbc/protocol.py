@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,23 +111,32 @@ class ProtocolContext:
         )
         self.psi1: SampledState = sample(config.amp1, self.grid)
         self.psi2: SampledState = sample(config.amp2, self.grid)
+        self._povms: dict[str, measurement.Povm] = {}
 
     def povm(self, t: float, family: str | None = None) -> measurement.Povm:
         """Build the POVM with window parameter t (the config's family by default).
 
         The grid is resolved for windows up to t_open only: a finite t past
-        it raises ValueError.
+        it raises ValueError.  A family's references do not depend on t, so
+        they are built and checked once per context, and later POVMs of the
+        family share them with a window of their own.
         """
         if t > self.config.t_open and not math.isinf(t):
             raise ValueError(
                 f"window t = {t!r} exceeds t_open = {self.config.t_open!r}, "
                 "the largest window the grid is resolved for"
             )
-        if (family or self.config.povm_family) == "support":
-            return measurement.support_povm(
-                self.grid, self.config.amp1.support, self.config.amp2.support, t
+        family = family or self.config.povm_family
+        first = self._povms.get(family)
+        if first is None:
+            first = self._povms[family] = (
+                measurement.support_povm(
+                    self.grid, self.config.amp1.support, self.config.amp2.support, t
+                )
+                if family == "support"
+                else measurement.state_povm(self.psi1, self.psi2, t)
             )
-        return measurement.state_povm(self.psi1, self.psi2, t)
+        return replace(first, window=window.build_window(self.grid, t))
 
     def outcome_dists(
         self, t: float, sent=None, family: str | None = None

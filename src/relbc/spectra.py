@@ -5,13 +5,19 @@ support on the positive wavenumber axis (c = 1, so wavenumber and angular
 frequency coincide numerically).  Everything downstream (window operators,
 POVMs, the protocol) works on states sampled onto a composite
 Gauss-Legendre grid.
+
+The carriers of one problem stay fixed while the window T changes, so the
+grid of a panel layout and a carrier sampled on it are built once and
+shared: ``grid_for_amplitudes`` keeps the last ``GRID_CACHE_SIZE`` grids
+and ``sample`` the last ``SAMPLE_CACHE_SIZE`` states, both read-only.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,6 +37,17 @@ _RULE = 256
 # (2 vCPUs, OpenBLAS), so on this grid it would take about 15 minutes.
 MAX_GRID_NODES = 1 << 22
 
+# Grids grid_for_amplitudes keeps, one per panel layout, least recently used
+# first out.  A grid holds its nodes, weights, sqrt(w) and centred nodes,
+# 32 bytes a node: at worst 4 x 128 MiB at MAX_GRID_NODES.
+GRID_CACHE_SIZE = 4
+
+# States sample keeps, least recently used first out.  A state holds its
+# values and its weighted vector, 32 bytes a node, and keeps its grid alive:
+# at worst 8 x 256 MiB at MAX_GRID_NODES, where its grid has left the grid
+# cache.
+SAMPLE_CACHE_SIZE = 8
+
 
 class GridBudgetError(ValueError):
     """A grid past ``MAX_GRID_NODES`` nodes was asked for."""
@@ -42,6 +59,11 @@ class GridBudgetError(ValueError):
             f"grid for window T = {T!r} needs {n} nodes; "
             f"grids are limited to n <= {MAX_GRID_NODES}"
         )
+
+
+class GridResolutionError(ValueError):
+    """An amplitude a grid cannot resolve: its support leaves the grid's
+    span, or the node spacing across it exceeds delta / 64."""
 
 
 @lru_cache(maxsize=32)
@@ -159,7 +181,8 @@ class KGrid:
     Sub-panel p spans [panel_edges[p], panel_edges[p + 1]] and holds nodes
     p * rule to (p + 1) * rule - 1.  The window forms apply 1/(k - k') from
     this layout alone (the edges and the rule), not from the stored nodes,
-    which are that geometry rounded to ulp(k).
+    which are that geometry rounded to ulp(k).  The arrays are read-only,
+    since a grid is shared (``grid_for_amplitudes``).
     """
 
     nodes: np.ndarray
@@ -168,9 +191,10 @@ class KGrid:
     rule: int
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        edges = np.asarray(self.panel_edges, dtype=float)
+        nodes, weights, edges = (
+            _read_only(np.asarray(a, dtype=float))
+            for a in (self.nodes, self.weights, self.panel_edges)
+        )
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "panel_edges", edges)
@@ -197,6 +221,24 @@ class KGrid:
     @property
     def size(self) -> int:
         return self.nodes.size
+
+    @cached_property
+    def sqrt_weights(self) -> np.ndarray:
+        """sqrt(w), which scales every state into the weighted basis."""
+        return _read_only(np.sqrt(self.weights))
+
+    @cached_property
+    def centred_nodes(self) -> np.ndarray:
+        """k - k_ref about the grid midpoint k_ref; exact where k lies within
+        a factor 2 of k_ref."""
+        return _read_only(self.nodes - 0.5 * (self.k_min + self.k_max))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of arr (arr itself keeps its flags)."""
+    view = arr.view()
+    view.setflags(write=False)
+    return view
 
 
 def gauss_legendre_grid(panels, nodes_per_panel: int) -> KGrid:
@@ -230,6 +272,9 @@ def _subpanels(width: float, delta: float, T: float) -> int:
     return max(1, math.ceil(need / _RULE))
 
 
+_GRIDS: OrderedDict = OrderedDict()  # (panel edges, sub-panel counts) -> KGrid
+
+
 def grid_for_amplitudes(amplitudes, T: float = 0.0) -> KGrid:
     """Panelled grid covering every amplitude's support plus the gaps between.
 
@@ -239,6 +284,11 @@ def grid_for_amplitudes(amplitudes, T: float = 0.0) -> KGrid:
     sinc kernel of the window half-width T stays resolved; m depends on
     the amplitudes and T only through w T and w / delta_min.  Raises
     GridBudgetError, before allocating, past MAX_GRID_NODES nodes.
+
+    The grid depends on the panel edges and the counts m alone, so one
+    read-only grid per layout is shared: the last ``GRID_CACHE_SIZE``
+    layouts are kept (at worst 4 x 128 MiB at MAX_GRID_NODES), and a new
+    one is built by ``gauss_legendre_grid``.
     """
     supports = sorted(a.support for a in amplitudes)
     if not supports:
@@ -257,20 +307,32 @@ def grid_for_amplitudes(amplitudes, T: float = 0.0) -> KGrid:
     n = _RULE * sum(counts)
     if n > MAX_GRID_NODES:
         raise GridBudgetError(n, T)
-    cuts = [np.linspace(a, b, m + 1)[:-1] for (a, b), m in zip(panels, counts)]
-    cuts = np.append(np.concatenate(cuts), edges[-1])
-    return gauss_legendre_grid(np.column_stack((cuts[:-1], cuts[1:])), _RULE)
+    # pop and put back, each one step, so a concurrent caller can at worst
+    # build a layout twice
+    key = (tuple(edges), tuple(counts))
+    grid = _GRIDS.pop(key, None)
+    if grid is None:
+        cuts = [np.linspace(a, b, m + 1)[:-1] for (a, b), m in zip(panels, counts)]
+        cuts = np.append(np.concatenate(cuts), edges[-1])
+        grid = gauss_legendre_grid(np.column_stack((cuts[:-1], cuts[1:])), _RULE)
+    _GRIDS[key] = grid
+    if len(_GRIDS) > GRID_CACHE_SIZE:
+        _GRIDS.popitem(last=False)
+    return grid
 
 
 @dataclass(frozen=True)
 class SampledState:
-    """An amplitude evaluated on a grid and renormalized to unit quadrature norm."""
+    """An amplitude evaluated on a grid and renormalized to unit quadrature norm.
+
+    ``values`` is read-only, since ``sample`` shares the states it makes.
+    """
 
     grid: KGrid
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
+        values = _read_only(np.asarray(self.values, dtype=complex))
         object.__setattr__(self, "values", values)
         if values.shape != self.grid.nodes.shape:
             raise ValueError("values must match the grid")
@@ -279,22 +341,55 @@ class SampledState:
             raise ValueError(f"state is not normalized: quadrature norm {norm}")
 
     def weighted(self) -> np.ndarray:
-        """Coefficient vector sqrt(w_i) * v_i; unit 2-norm, the working basis."""
-        return np.sqrt(self.grid.weights) * self.values
+        """Coefficient vector sqrt(w_i) * v_i; unit 2-norm, the working basis.
+
+        Computed once per state, read-only."""
+        return self._weighted
+
+    @cached_property
+    def _weighted(self) -> np.ndarray:
+        return _read_only(self.grid.sqrt_weights * self.values)
+
+
+_SAMPLES: OrderedDict = OrderedDict()  # (amplitude, id(grid)) -> (grid, state)
 
 
 def sample(amplitude: SpectralAmplitude, grid: KGrid) -> SampledState:
-    """Evaluate an amplitude on a grid and renormalize it to unit quadrature norm."""
+    """Evaluate an amplitude on a grid and renormalize it to unit quadrature norm.
+
+    Raises GridResolutionError when the grid does not span the support or
+    its node spacing across the support exceeds delta / 64.  The last
+    ``SAMPLE_CACHE_SIZE`` states are kept and returned again for the same
+    amplitude on the same grid object (at worst 8 x 256 MiB, grids included,
+    at MAX_GRID_NODES); an entry holds its grid, so the key's id cannot pass
+    to another grid while the entry lives.
+    """
+    key = (amplitude, id(grid))
+    entry = _SAMPLES.pop(key, None)
+    if entry is None:
+        entry = (grid, _sample(amplitude, grid))
+    _SAMPLES[key] = entry
+    if len(_SAMPLES) > SAMPLE_CACHE_SIZE:
+        _SAMPLES.popitem(last=False)
+    return entry[1]
+
+
+def _sample(amplitude: SpectralAmplitude, grid: KGrid) -> SampledState:
+    """``sample`` without the memo."""
     lo, hi = amplitude.support
     tol = 1e-12 * max(abs(lo), abs(hi), 1.0)
     if grid.k_min > lo + tol or grid.k_max < hi - tol:
-        raise ValueError("grid does not cover the amplitude support")
+        raise GridResolutionError(
+            f"grid does not cover the amplitude support: support ({lo!r}, {hi!r}) "
+            f"against grid span [{grid.k_min!r}, {grid.k_max!r}]"
+        )
     inside = grid.nodes[(grid.nodes > lo) & (grid.nodes < hi)]
-    if inside.size < 2:
-        raise ValueError("grid too coarse across the support")
-    gaps = np.diff(np.concatenate(([lo], inside, [hi])))
-    if gaps.max() > amplitude.delta / 64 + tol:
-        raise ValueError("grid too coarse: node spacing must be <= delta/64")
+    spacing = float(np.diff(np.concatenate(([lo], inside, [hi]))).max())
+    if spacing > amplitude.delta / 64 + tol:
+        raise GridResolutionError(
+            f"grid too coarse: node spacing {spacing!r} across the support "
+            f"({lo!r}, {hi!r}) exceeds delta/64 = {amplitude.delta / 64!r}"
+        )
     raw = amplitude(grid.nodes)
     norm = math.sqrt(float(grid.weights @ np.abs(raw) ** 2))
     if norm == 0.0:

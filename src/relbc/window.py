@@ -19,7 +19,10 @@ the sub-panel edges and the rule rather than from the stored nodes:
 * self blocks are the rule's own 1/(x_i - x_j), built once per process
   and scaled by 1 / half-width;
 * other near pairs (gap smaller than the wider sub-panel) take
-  k - k' as a sum of non-negative terms, free of cancellation;
+  k - k' as a sum of non-negative terms, free of cancellation, and each
+  step builds such a block once per geometry class (gap and the two
+  half-widths), which on a uniform panel is one block for all of its
+  neighbour pairs;
 * every far pair goes through ``_PROXIES`` Chebyshev proxies per
   sub-panel (Fong & Darve 2009), which keeps the far field to rounding
   level and costs (n p / rule)^2 instead of n^2 kernel entries.
@@ -116,7 +119,7 @@ class WindowOperator:
             kern /= np.multiply(math.pi, dk, out=dk)
         # removable singularity where a row meets its own column
         kern[same] = self.T / math.pi
-        sw = np.sqrt(self.grid.weights)
+        sw = self.grid.sqrt_weights
         kern *= np.multiply.outer(sw, sw, out=dk)
         if self.center == 0.0:
             return kern
@@ -189,8 +192,7 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     cols = (cp[:, None] * r + np.arange(r)).ravel()
     ts = np.array([windows[j].T for j in finite])
     centers = np.array([windows[j].center for j in finite])
-    # k - k_ref is exact where k lies within a factor 2 of k_ref
-    x = grid.nodes - 0.5 * (grid.k_min + grid.k_max)
+    x = grid.centred_nodes
 
     def phases(idx):
         phi = np.multiply.outer(x[idx], ts)
@@ -198,7 +200,7 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     sin_r, cos_r = phases(rows)
     sin_c, cos_c = (sin_r, cos_r) if np.array_equal(rp, cp) else phases(cols)
-    sw = np.sqrt(grid.weights)[:, None]
+    sw = grid.sqrt_weights[:, None]
     b_t = _recentred(b[cols] * sw[cols], x[cols], centers)
     # [c B, s B] of every window as one real (n_c, 4 r_b m) right-hand side
     cs_b = np.empty((cols.size, ts.size, 2, b.shape[1]), dtype=complex)
@@ -260,7 +262,10 @@ def _cauchy(grid: KGrid, rp: np.ndarray, cp: np.ndarray, y: np.ndarray) -> np.nd
     ``_FAR_GAP``).  A self block is the rule's S / h.  Another near pair,
     i above j, has k_a - k'_b = (lo_i - hi_j) + h_i (1 + x_a) + h_j (1 - x_b),
     a sum of non-negative terms, so its block is free of cancellation; i
-    below j takes the negated transpose of the mirrored block.  Far pairs go
+    below j subtracts the transpose of the mirrored block.  The block
+    depends on the pair only through its geometry (lo_i - hi_j, h_i, h_j),
+    so a step builds it once per geometry, the same bits for every pair
+    that shares one, and drops it before the proxies.  Far pairs go
     through the proxies: y is anterpolated to the proxies of cp, they
     interact through 1/(t - t'), and the result is interpolated to the nodes
     of rp.  A step's proxy kernel has at most ``_BLOCK_ENTRIES`` entries, or
@@ -282,15 +287,19 @@ def _cauchy(grid: KGrid, rp: np.ndarray, cp: np.ndarray, y: np.ndarray) -> np.nd
         blk = rp[start:start + step]
         gap = np.maximum(np.subtract.outer(lo[cp], hi[blk]).T, np.subtract.outer(lo[blk], hi[cp]))
         near = gap < _FAR_GAP * np.maximum.outer(width[blk], width[cp])
+        blocks = {}
         for i, j in zip(*np.nonzero(near)):
             a, b = blk[i], cp[j]
             if a == b:
                 out[start + i] += s @ (y[j] / half[b])
                 continue
             up, dn = max(a, b), min(a, b)
-            dk = ((lo[up] - hi[dn]) + half[up] * (1.0 + x))[:, None] + half[dn] * (1.0 - x)
-            out[start + i] += (1.0 / dk if a > b else -1.0 / dk.T) @ y[j]
-            del dk  # not held while the step's proxy kernel is built
+            geo = (lo[up] - hi[dn], half[up], half[dn])
+            if a > b:
+                out[start + i] += _neighbour_block(blocks, x, geo) @ y[j]
+            else:
+                out[start + i] -= _neighbour_block(blocks, x, geo).T @ y[j]
+        del blocks  # not held while the step's proxy kernel is built
         if near.all():
             continue
         # proxy distances from differences of edges, which are exact for
@@ -305,6 +314,16 @@ def _cauchy(grid: KGrid, rp: np.ndarray, cp: np.ndarray, y: np.ndarray) -> np.nd
         kern = kern.reshape(blk.size * p, -1)
         out[start:start + step] += interp @ (kern @ charges).reshape(blk.size, p, m)
     return out.reshape(-1, m)
+
+
+def _neighbour_block(blocks: dict, x: np.ndarray, geo: tuple) -> np.ndarray:
+    """1/(k_a - k'_b) of a near pair of geometry geo = (lo_up - hi_dn, h_up, h_dn),
+    rows in the upper sub-panel; built on first use and kept in ``blocks``."""
+    block = blocks.get(geo)
+    if block is None:
+        dk = (geo[0] + geo[1] * (1.0 + x))[:, None] + geo[2] * (1.0 - x)
+        block = blocks[geo] = np.divide(1.0, dk, out=dk)
+    return block
 
 
 def _check_grid(w: WindowOperator, state: SampledState):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import relbc
-from relbc import attacks, measurement, window
+from relbc import attacks, measurement, spectra, window
 from relbc.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -340,3 +340,59 @@ def test_attack_past_grid_budget_is_invariant_violation(tmp_path, capsys):
     assert main(["attack", "--config", path]) == EXIT_INVARIANT
     err = capsys.readouterr().err
     assert "1500000000 nodes" in err and "T = 1000000000.0" in err, err
+
+
+@pytest.mark.parametrize("cmd", ["attack", "run"])
+@pytest.mark.parametrize("wrong, named", [
+    # outside the carriers' grid span [9.5, 12.5]
+    ({"k_c": 20.0, "delta": 1.0}, ("(19.5, 20.5)", "[9.5, 12.5]")),
+    # a bandwidth the grid's node spacing cannot resolve
+    ({"k_c": 11.0, "delta": 0.01}, ("node spacing", "delta/64 = 0.00015625")),
+])
+def test_unresolved_wrong_state_is_config_error(tmp_path, capsys, cmd, wrong, named):
+    cfg = dict(RUN_CFG, t_open=100.0, adversary="wrong_state",
+               wrong_state=dict(wrong, shape="rectangular"))
+    capsys.readouterr()
+    assert main([cmd, "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'wrong_state'" in err and all(part in err for part in named), err
+
+
+# The README carriers on the 768-node layout with a wrong-state sender in the
+# gap panel, so the state-family forms pair it with both carrier panels
+# through neighbour blocks.
+REUSE_CFG = dict(
+    RUN_CFG, family="state", t_open=50.0, times=[0.5, 5.0, 50.0], adversary="wrong_state",
+    wrong_state={"shape": "raised-cosine", "k_c": 10.9, "delta": 0.8},
+)
+
+
+def test_attack_ops_on_one_layout_build_one_grid(tmp_path, monkeypatch):
+    monkeypatch.setattr(spectra, "_GRIDS", type(spectra._GRIDS)())
+    calls = []
+    build = spectra.gauss_legendre_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "gauss_legendre_grid", counted)
+    out = str(tmp_path / "o.csv")
+    for cfg in (REUSE_CFG, dict(REUSE_CFG, adversary="delayed", tau0=3.0, t_open=200.0),
+                dict(REUSE_CFG, adversary="mixed", family="support", t_open=10.0, times=[1.0, 10.0])):
+        assert main(["attack", "--config", _write(tmp_path, cfg), "--out", out]) == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_attack_csv_same_from_fresh_process_and_after_other_layouts(tmp_path):
+    path = _write(tmp_path, REUSE_CFG)
+    fresh = tmp_path / "fresh.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(relbc.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-m", "relbc.cli", "attack", "--config", path,
+                    "--out", str(fresh)], check=True, env=env, timeout=120)
+    out = str(tmp_path / "o.csv")
+    for cfg in (dict(REUSE_CFG, t_open=1e3, times=[1e3]),
+                dict(REUSE_CFG, k1=14.0, k2=10.0, adversary="honest")):
+        assert main(["attack", "--config", _write(tmp_path, cfg, "other.json"), "--out", out]) == EXIT_OK
+    assert main(["attack", "--config", path, "--out", out]) == EXIT_OK
+    assert Path(out).read_bytes() == fresh.read_bytes()

@@ -300,3 +300,20 @@ def test_two_carrier_protocol_grid_at_TDelta_1e4():
     dist = outcome_dist(povm, sample(amp1, grid))
     assert abs(dist.p1 - detect_prob_flat_closed_form(1.0, T)) < 1e-12
     assert dist.p2 == 0.0
+
+
+def test_oracle_stays_independent_of_the_production_path():
+    # The oracle may read an amplitude's definition and nothing else of the
+    # package: nothing of window, measurement, protocol, attacks or cli, and
+    # no grid, sampled state or cached object of spectra.
+    import ast
+    from pathlib import Path
+
+    own = []
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            own += [(alias.name, []) for alias in node.names if alias.name.startswith("relbc")]
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("relbc")):
+            module = (node.module or "").removeprefix("relbc").lstrip(".")
+            own.append((module, [alias.name for alias in node.names]))
+    assert own == [("spectra", ["SpectralAmplitude"])], own

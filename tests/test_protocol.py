@@ -272,3 +272,19 @@ def test_storage_security_curve(config):
     assert vals[-1] < 0.2
     with pytest.raises(ValueError, match="t_open"):
         storage_security_curve(config, [config.t_open + 1.0])
+
+
+@pytest.mark.parametrize("family", ["support", "state"])
+def test_context_povms_share_their_references(config, family):
+    ctx = ProtocolContext(config)
+    first, later = ctx.povm(1.0, family), ctx.povm(5.0, family)
+    assert later.T == 5.0 and later.family == family
+    assert all(r is r0 for r, r0 in zip(later.refs, first.refs))
+    with pytest.raises(ValueError, match="read-only"):
+        later.refs[0][0] = 1.0
+    if family == "support":
+        fresh = measurement.support_povm(ctx.grid, config.amp1.support, config.amp2.support, 5.0)
+    else:
+        fresh = measurement.state_povm(ctx.psi1, ctx.psi2, 5.0)
+    sent = measurement.mixed_density([ctx.psi1, ctx.psi2])
+    assert measurement.outcome_dist(later, sent) == measurement.outcome_dist(fresh, sent)

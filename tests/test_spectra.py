@@ -221,3 +221,70 @@ def test_grid_budget_fails_before_allocating():
     assert err.T == 1e9
     assert str(err.n) in str(err) and "1000000000.0" in str(err)
     assert peak < 2**20, peak
+
+
+# Shared grids and memoised samples.  Each test gets empty caches, so it
+# sees its own builds only.
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    monkeypatch.setattr(spectra, "_GRIDS", type(spectra._GRIDS)())
+    monkeypatch.setattr(spectra, "_SAMPLES", type(spectra._SAMPLES)())
+
+
+def test_same_layout_returns_same_grid(fresh_caches):
+    a1, a2 = disjoint_pair(12.0, 10.0, 1.0)
+    grid = grid_for_amplitudes([a1, a2], T=10.0)
+    # T = 10 and T = 300 both give one sub-panel per unit panel
+    assert grid_for_amplitudes([a2, a1], T=300.0) is grid
+    assert grid_for_amplitudes([a1, a2], T=1e3) is not grid
+
+
+def test_shared_grid_and_state_are_read_only(fresh_caches):
+    amp = make_amplitude("raised-cosine", 10.0, 1.0)
+    grid = grid_for_amplitudes([amp], T=5.0)
+    state = sample(amp, grid)
+    arrays = (grid.nodes, grid.weights, grid.panel_edges, grid.sqrt_weights,
+              grid.centred_nodes, state.values, state.weighted())
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert sample(amp, grid) is state
+    assert state.weighted() is state.weighted()
+
+
+def test_grid_cache_evicts_least_recently_used(fresh_caches):
+    amps = [make_amplitude("rectangular", 10.0 + 2 * i, 1.0)
+            for i in range(spectra.GRID_CACHE_SIZE + 1)]
+    grids = [grid_for_amplitudes([a], T=1.0) for a in amps]
+    assert len({id(g) for g in grids}) == len(grids)
+    for amp, grid in zip(amps[1:], grids[1:]):
+        assert grid_for_amplitudes([amp], T=1.0) is grid
+    rebuilt = grid_for_amplitudes([amps[0]], T=1.0)
+    assert rebuilt is not grids[0]
+    assert np.array_equal(rebuilt.nodes, grids[0].nodes)
+
+
+def test_sample_memo_is_per_grid_and_bounded(fresh_caches):
+    a1, a2 = disjoint_pair(12.0, 10.0, 1.0)
+    small = grid_for_amplitudes([a1, a2], T=10.0)
+    large = grid_for_amplitudes([a1, a2], T=1e3)
+    on_small, on_large = sample(a1, small), sample(a1, large)
+    assert on_small.grid is small and on_small.values.size == small.size == 768
+    assert on_large.grid is large and on_large.values.size == large.size == 1536
+    delays = [a1.delayed(0.5 * (i + 1)) for i in range(spectra.SAMPLE_CACHE_SIZE)]
+    states = [sample(a, small) for a in delays]
+    # the two oldest entries, on_small and on_large, are gone
+    assert sample(a1, small) is not on_small
+    assert np.array_equal(sample(a1, small).values, on_small.values)
+    assert sample(delays[-1], small) is states[-1]
+
+
+def test_unresolved_amplitude_names_its_numbers():
+    a1, a2 = disjoint_pair(12.0, 10.0, 1.0)
+    grid = grid_for_amplitudes([a1, a2], T=10.0)
+    with pytest.raises(spectra.GridResolutionError, match=r"\(19\.5, 20\.5\).*\[9\.5, 12\.5\]"):
+        sample(make_amplitude("rectangular", 20.0, 1.0), grid)
+    with pytest.raises(spectra.GridResolutionError, match=r"spacing .* exceeds delta/64 = 0\.00015625"):
+        sample(make_amplitude("rectangular", 11.0, 0.01), grid)
