@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import KGrid, SampledState, overlap
+from .spectra import KGrid, SampledState, _same_grid, overlap
 from .window import WindowOperator, bilinear_forms, build_window
 
 PERP = 0  # outcome code for the inconclusive channel
@@ -155,12 +155,11 @@ def _clamp_prob(p: float, label: str) -> float:
 
 def _factor(povm: Povm, state_or_factor) -> np.ndarray:
     """The n x r factor F of the input (r = 1 for a pure state)."""
-    n = povm.grid.size
     if isinstance(state_or_factor, SampledState):
-        u = state_or_factor.weighted()
-        if u.size != n:
-            raise ValueError("state dimension does not match the POVM grid")
-        return u[:, None]
+        if not _same_grid(state_or_factor.grid, povm.grid):
+            raise ValueError("state and POVM live on different grids")
+        return state_or_factor.weighted()[:, None]
+    n = povm.grid.size
     f = np.asarray(state_or_factor)
     if f.ndim != 2 or f.shape[0] != n:
         raise ValueError("density factor must be an n x r array on the POVM grid")

@@ -136,6 +136,7 @@ class ProtocolContext:
                 if family == "support"
                 else measurement.state_povm(self.psi1, self.psi2, t)
             )
+            return first
         return replace(first, window=window.build_window(self.grid, t))
 
     def outcome_dists(

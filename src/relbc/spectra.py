@@ -8,14 +8,16 @@ Gauss-Legendre grid.
 
 The carriers of one problem stay fixed while the window T changes, so the
 grid of a panel layout and a carrier sampled on it are built once and
-shared: ``grid_for_amplitudes`` keeps the last ``GRID_CACHE_SIZE`` grids
-and ``sample`` the last ``SAMPLE_CACHE_SIZE`` states, both read-only.
+shared, read-only: ``grid_for_amplitudes`` and ``sample`` keep the last
+4 layouts and 8 states in ``functools.lru_cache``s (``_layout_grid`` and
+``_sample``), whose ``cache_info()`` counts their hits.  A grid compares
+by identity, so it can key the state cache; ``_same_grid`` decides
+whether two grids are the same.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -174,7 +176,7 @@ def disjoint_pair(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KGrid:
     """Composite Gauss-Legendre grid: one ``rule``-point rule on each sub-panel.
 
@@ -182,7 +184,8 @@ class KGrid:
     p * rule to (p + 1) * rule - 1.  The window forms apply 1/(k - k') from
     this layout alone (the edges and the rule), not from the stored nodes,
     which are that geometry rounded to ulp(k).  The arrays are read-only,
-    since a grid is shared (``grid_for_amplitudes``).
+    since a grid is shared (``grid_for_amplitudes``), and a grid hashes and
+    compares by identity.
     """
 
     nodes: np.ndarray
@@ -272,9 +275,6 @@ def _subpanels(width: float, delta: float, T: float) -> int:
     return max(1, math.ceil(need / _RULE))
 
 
-_GRIDS: OrderedDict = OrderedDict()  # (panel edges, sub-panel counts) -> KGrid
-
-
 def grid_for_amplitudes(amplitudes, T: float = 0.0) -> KGrid:
     """Panelled grid covering every amplitude's support plus the gaps between.
 
@@ -286,9 +286,9 @@ def grid_for_amplitudes(amplitudes, T: float = 0.0) -> KGrid:
     GridBudgetError, before allocating, past MAX_GRID_NODES nodes.
 
     The grid depends on the panel edges and the counts m alone, so one
-    read-only grid per layout is shared: the last ``GRID_CACHE_SIZE``
-    layouts are kept (at worst 4 x 128 MiB at MAX_GRID_NODES), and a new
-    one is built by ``gauss_legendre_grid``.
+    read-only grid per layout is shared: a ``functools.lru_cache`` keeps
+    the last ``GRID_CACHE_SIZE`` layouts (at worst 4 x 128 MiB at
+    MAX_GRID_NODES), and a new one is built by ``gauss_legendre_grid``.
     """
     supports = sorted(a.support for a in amplitudes)
     if not supports:
@@ -303,22 +303,20 @@ def grid_for_amplitudes(amplitudes, T: float = 0.0) -> KGrid:
         elif nxt is not None and nxt[0] < hi:
             raise ValueError("amplitude supports must not overlap")
     panels = list(zip(edges[:-1], edges[1:]))
-    counts = [_subpanels(b - a, delta_min, T) for a, b in panels]
+    counts = tuple(_subpanels(b - a, delta_min, T) for a, b in panels)
     n = _RULE * sum(counts)
     if n > MAX_GRID_NODES:
         raise GridBudgetError(n, T)
-    # pop and put back, each one step, so a concurrent caller can at worst
-    # build a layout twice
-    key = (tuple(edges), tuple(counts))
-    grid = _GRIDS.pop(key, None)
-    if grid is None:
-        cuts = [np.linspace(a, b, m + 1)[:-1] for (a, b), m in zip(panels, counts)]
-        cuts = np.append(np.concatenate(cuts), edges[-1])
-        grid = gauss_legendre_grid(np.column_stack((cuts[:-1], cuts[1:])), _RULE)
-    _GRIDS[key] = grid
-    if len(_GRIDS) > GRID_CACHE_SIZE:
-        _GRIDS.popitem(last=False)
-    return grid
+    return _layout_grid(tuple(edges), counts)
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def _layout_grid(edges: tuple, counts: tuple) -> KGrid:
+    """The grid of panels between ``edges``, panel p cut into counts[p] sub-panels."""
+    panels = zip(edges[:-1], edges[1:], counts)
+    cuts = [np.linspace(a, b, m + 1)[:-1] for a, b, m in panels]
+    cuts = np.append(np.concatenate(cuts), edges[-1])
+    return gauss_legendre_grid(np.column_stack((cuts[:-1], cuts[1:])), _RULE)
 
 
 @dataclass(frozen=True)
@@ -351,31 +349,21 @@ class SampledState:
         return _read_only(self.grid.sqrt_weights * self.values)
 
 
-_SAMPLES: OrderedDict = OrderedDict()  # (amplitude, id(grid)) -> (grid, state)
-
-
 def sample(amplitude: SpectralAmplitude, grid: KGrid) -> SampledState:
     """Evaluate an amplitude on a grid and renormalize it to unit quadrature norm.
 
     Raises GridResolutionError when the grid does not span the support or
-    its node spacing across the support exceeds delta / 64.  The last
-    ``SAMPLE_CACHE_SIZE`` states are kept and returned again for the same
-    amplitude on the same grid object (at worst 8 x 256 MiB, grids included,
-    at MAX_GRID_NODES); an entry holds its grid, so the key's id cannot pass
-    to another grid while the entry lives.
+    its node spacing across the support exceeds delta / 64.  A
+    ``functools.lru_cache`` keeps the last ``SAMPLE_CACHE_SIZE`` states and
+    returns them again for the same amplitude on the same grid object (at
+    worst 8 x 256 MiB, grids included, at MAX_GRID_NODES).
     """
-    key = (amplitude, id(grid))
-    entry = _SAMPLES.pop(key, None)
-    if entry is None:
-        entry = (grid, _sample(amplitude, grid))
-    _SAMPLES[key] = entry
-    if len(_SAMPLES) > SAMPLE_CACHE_SIZE:
-        _SAMPLES.popitem(last=False)
-    return entry[1]
+    return _sample(amplitude, grid)
 
 
+@lru_cache(maxsize=SAMPLE_CACHE_SIZE)
 def _sample(amplitude: SpectralAmplitude, grid: KGrid) -> SampledState:
-    """``sample`` without the memo."""
+    """``sample``, cached."""
     lo, hi = amplitude.support
     tol = 1e-12 * max(abs(lo), abs(hi), 1.0)
     if grid.k_min > lo + tol or grid.k_max < hi - tol:
@@ -397,12 +385,16 @@ def _sample(amplitude: SpectralAmplitude, grid: KGrid) -> SampledState:
     return SampledState(grid=grid, values=raw / norm)
 
 
+def _same_grid(a: KGrid, b: KGrid) -> bool:
+    """One grid object, or two with equal nodes and weights."""
+    return a is b or (
+        np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
+    )
+
+
 def overlap(a: SampledState, b: SampledState) -> complex:
     """Quadrature inner product sum_i w_i a_i* b_i."""
-    if a.grid is not b.grid and not (
-        np.array_equal(a.grid.nodes, b.grid.nodes)
-        and np.array_equal(a.grid.weights, b.grid.weights)
-    ):
+    if not _same_grid(a.grid, b.grid):
         raise ValueError("states live on different grids")
     return complex(np.sum(a.grid.weights * np.conj(a.values) * b.values))
 

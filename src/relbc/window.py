@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectra import KGrid, SampledState, _leggauss
+from .spectra import KGrid, SampledState, _leggauss, _same_grid
 
 _EIG_SLACK = 1e-9
 
@@ -171,8 +171,7 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not windows:
         return out
     grid = windows[0].grid
-    if any(w.grid is not grid and not np.array_equal(w.grid.nodes, grid.nodes)
-           for w in windows):
+    if not all(_same_grid(w.grid, grid) for w in windows):
         raise ValueError("windows live on different grids")
     row_nz, col_nz = a.any(axis=1), b.any(axis=1)
     if not row_nz.any() or not col_nz.any():
@@ -326,18 +325,11 @@ def _neighbour_block(blocks: dict, x: np.ndarray, geo: tuple) -> np.ndarray:
     return block
 
 
-def _check_grid(w: WindowOperator, state: SampledState):
-    if state.grid is not w.grid and not np.array_equal(
-        state.grid.nodes, w.grid.nodes
-    ):
-        raise ValueError("state and window live on different grids")
-
-
 def detect_probs(windows, state: SampledState) -> list[float]:
     """<psi| W_j |psi> for windows W_j on the state's grid, in one form."""
     windows = list(windows)
-    for w in windows:
-        _check_grid(w, state)
+    if windows and not _same_grid(state.grid, windows[0].grid):
+        raise ValueError("state and window live on different grids")
     u = state.weighted()[:, None]
     probs = []
     for p in np.real(bilinear_forms(windows, u, u)[:, 0, 0]).tolist():

@@ -368,7 +368,7 @@ REUSE_CFG = dict(
 
 
 def test_attack_ops_on_one_layout_build_one_grid(tmp_path, monkeypatch):
-    monkeypatch.setattr(spectra, "_GRIDS", type(spectra._GRIDS)())
+    spectra._layout_grid.cache_clear()
     calls = []
     build = spectra.gauss_legendre_grid
 

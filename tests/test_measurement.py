@@ -162,6 +162,17 @@ def test_outcome_dist_rejects_bad_trace(pair):
         outcome_dist(povm, mixed_density([s1], [2.0]))
 
 
+def test_outcome_dist_rejects_state_on_another_grid_of_the_same_size():
+    a1, a2 = disjoint_pair(12.0, 10.0, 1.0)
+    grid = grid_for_amplitudes([a1, a2], T=10.0)
+    povm = state_povm(sample(a1, grid), sample(a2, grid), 10.0)
+    b1, b2 = disjoint_pair(22.0, 20.0, 1.0)
+    other = grid_for_amplitudes([b1, b2], T=10.0)
+    assert other.size == grid.size == 768
+    with pytest.raises(ValueError, match="different grids"):
+        outcome_dist(povm, sample(b1, other))
+
+
 def test_bruteforce_double_integral_equivalence(pair):
     # window form vs direct quadrature double integral of the kernel
     a1, a2, grid, s1, _ = pair

@@ -15,6 +15,7 @@ from relbc.spectra import (
     sample,
     time_profile,
 )
+from relbc.window import build_window, detect_prob
 
 SHAPES = spectra.SHAPES
 
@@ -228,9 +229,9 @@ def test_grid_budget_fails_before_allocating():
 
 
 @pytest.fixture
-def fresh_caches(monkeypatch):
-    monkeypatch.setattr(spectra, "_GRIDS", type(spectra._GRIDS)())
-    monkeypatch.setattr(spectra, "_SAMPLES", type(spectra._SAMPLES)())
+def fresh_caches():
+    spectra._layout_grid.cache_clear()
+    spectra._sample.cache_clear()
 
 
 def test_same_layout_returns_same_grid(fresh_caches):
@@ -264,6 +265,11 @@ def test_grid_cache_evicts_least_recently_used(fresh_caches):
     rebuilt = grid_for_amplitudes([amps[0]], T=1.0)
     assert rebuilt is not grids[0]
     assert np.array_equal(rebuilt.nodes, grids[0].nodes)
+    # a state on the evicted grid and a window on its rebuilt twin: equal
+    # grids, so the same bits as both on one object
+    state = sample(amps[0], grids[0])
+    assert (detect_prob(build_window(rebuilt, 1.0), state)
+            == detect_prob(build_window(grids[0], 1.0), state))
 
 
 def test_sample_memo_is_per_grid_and_bounded(fresh_caches):
