@@ -73,8 +73,15 @@ def _require(cfg: dict, key: str, kind=float, default=_MISSING):
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
+def _array(values) -> list:
+    """A JSON array; a string or an object is refused, not read element-wise."""
+    if not isinstance(values, list):
+        raise ValueError(f"expected a JSON array, got {values!r}")
+    return values
+
+
 def _floats(values) -> list[float]:
-    return [float(v) for v in values]
+    return [float(v) for v in _array(values)]
 
 
 def _positive_number(value) -> float:
@@ -85,7 +92,7 @@ def _positive_number(value) -> float:
 
 
 def _positive(values) -> list[float]:
-    return [_positive_number(v) for v in values]
+    return [_positive_number(v) for v in _array(values)]
 
 
 def _non_negative(values) -> list[float]:
@@ -97,7 +104,7 @@ def _non_negative(values) -> list[float]:
 
 
 def _shapes(values) -> list[str]:
-    values = list(values)
+    values = _array(values)
     for v in values:
         if v not in SHAPES:
             raise ValueError(f"unknown shape {v!r}, expected one of {SHAPES}")
@@ -209,14 +216,23 @@ def _protocol_config(cfg: dict, seed: int) -> protocol.CommitConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _amplitude(obj) -> SpectralAmplitude:
+    """A JSON object {"shape", "k_c", "delta"[, "tau0"]} as an amplitude."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {obj!r}")
+    try:
+        return SpectralAmplitude.from_json(obj)
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from exc
+
+
 def _strategy(cfg: dict) -> attacks.Strategy:
     kind = cfg.get("adversary", "honest")
+    if kind == "wrong_state":
+        return attacks.Strategy(kind=kind, amplitude=_require(cfg, "wrong_state", _amplitude))
     try:
-        if kind == "wrong_state":
-            amp = SpectralAmplitude.from_json(cfg["wrong_state"])
-            return attacks.Strategy(kind=kind, amplitude=amp)
         return attacks.Strategy(kind=kind, tau0=_require(cfg, "tau0", default=0.0))
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad adversary spec: {exc}") from exc
 
 
@@ -305,18 +321,30 @@ def cmd_attack(args) -> int:
 def _audit_povm(povm, corrupt: bool) -> tuple[bool, str]:
     """The brute-force check of one POVM's dense elements, as (passed, line).
 
-    The elements and the report are dropped on return, so an audit never
-    holds two POVMs' elements at once.
+    The elements are streamed into the check one at a time, and the report
+    is dropped on return, so an audit never holds two POVMs' elements at
+    once.  ``corrupt`` overwrites an entry of M_1 as it is yielded, before
+    any check; M_perp is built from the window and the references, so it
+    does not see the corruption.
     """
-    elements = povm.elements
+    elements = povm.iter_elements()
     if corrupt:
-        elements[0][0, -1] = -elements[0][0, -1] - 0.5
+        elements = _corrupt_first(elements)
     report = oracle.povm_validity_bruteforce(povm, elements)
     ok = report["passed"]
     return ok, (
         f"min_eig={report['min_eigenvalue']:.3e} "
         f"residual={report['completeness_residual']:.3e} {'ok' if ok else 'FAIL'}"
     )
+
+
+def _corrupt_first(elements):
+    """``elements`` with one entry of M_1 overwritten as it is yielded."""
+    m1 = next(elements)
+    m1[0, -1] = -m1[0, -1] - 0.5
+    yield m1
+    del m1
+    yield from elements
 
 
 def cmd_validate(args) -> int:
@@ -416,6 +444,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except OSError as exc:
+        # the config is read in _load_config, so this is the output failing
+        where = "stdout" if exc.filename is None else exc.filename
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

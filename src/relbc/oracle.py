@@ -174,20 +174,26 @@ def _hermitian_residual(m: np.ndarray) -> float:
 def povm_validity_bruteforce(povm, elements=None) -> dict:
     """Eigendecompose every element and the sum; report positivity/completeness.
 
-    ``elements`` are the dense (M_1, M_2, M_perp) to check; ``povm.elements``
-    by default.  Each element's max|M - M^H| is reported too and must stay
-    within ``_HERMITIAN_TOL``: eigvalsh reads only the lower triangle, so
-    its eigenvalues say nothing about an element that is not Hermitian.
-    Real elements take eigvalsh's real symmetric solver.  Besides the three
-    elements the check holds one n x n work array at a time: eigvalsh's copy
-    of an element, or the sum (M_1 + M_2) + M_perp, from which the identity
-    is subtracted and whose modulus is taken in place.
+    ``elements`` is an iterable of the dense M_1, M_2 and M_perp to check,
+    all of one dtype; ``povm.iter_elements()`` by default.  Each element is
+    checked as it arrives: eigvalsh and its max|M - M^H|, which must stay
+    within ``_HERMITIAN_TOL`` (eigvalsh reads only the lower triangle, so
+    its eigenvalues say nothing about an element that is not Hermitian).
+    Real elements take eigvalsh's real symmetric solver.  The element is
+    then folded into the first one's array, which is overwritten with
+    (M_1 + M_2) + M_perp, from which the identity is subtracted and whose
+    modulus is taken in place.  So the check holds the sum, one element and
+    eigvalsh's copy of it: with a generator that keeps no reference to what
+    it has yielded, three n x n arrays at most.  The elements are taken
+    with ``next()``, not ``zip``, which would keep the previous one alive.
     """
-    elements = povm.elements if elements is None else elements
+    elements = iter(povm.iter_elements() if elements is None else elements)
     report = {"family": povm.family, "T": povm.T, "elements": {}}
     min_eig = math.inf
     hermitian = 0.0
-    for name, m in zip(("m1", "m2", "m_perp"), elements):
+    total = None
+    for name in ("m1", "m2", "m_perp"):
+        m = next(elements)
         vals = np.linalg.eigvalsh(m)
         asym = _hermitian_residual(m)
         report["elements"][name] = {
@@ -197,11 +203,13 @@ def povm_validity_bruteforce(povm, elements=None) -> dict:
         }
         min_eig = min(min_eig, float(vals[0]))
         hermitian = max(hermitian, asym)
-    m1, m2, m_perp = elements
-    work = m1 + m2
-    work += m_perp
-    work[np.diag_indices_from(work)] -= 1.0
-    residual = float(np.max(np.abs(work, out=work).real))
+        if total is None:
+            total = m
+        else:
+            total += m
+        del m  # before the next element is built
+    total[np.diag_indices_from(total)] -= 1.0
+    residual = float(np.max(np.abs(total, out=total).real))
     report["min_eigenvalue"] = min_eig
     report["completeness_residual"] = residual
     report["hermitian_residual"] = hermitian

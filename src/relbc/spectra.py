@@ -97,9 +97,15 @@ class SpectralAmplitude:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.delta <= 0:
             raise ValueError("bandwidth must be positive")
-        if self.k_c - self.delta / 2 <= 0:
+        lo, hi = self.support
+        if lo <= 0:
             raise ValueError(
                 "support crosses k = 0: photon momenta must stay positive"
+            )
+        if not lo < hi:
+            raise ValueError(
+                f"support (k_c - delta/2, k_c + delta/2) is empty in floating point: "
+                f"k_c = {self.k_c!r}, delta = {self.delta!r}"
             )
 
     @property

@@ -30,10 +30,11 @@ the sub-panel edges and the rule rather than from the stored nodes:
 A step builds at most ``_BLOCK_ENTRIES`` kernel entries, or one
 sub-panel's proxies against all others' (p^2 per sub-panel) on grids past
 about 4.7e5 nodes, so memory stays O(n) on any grid.  The dense matrix
-(``WindowOperator.matrix``) uses the direct kernel; it is computed on
-access for the spectrum and small-grid checks, where it is the reference
-the forms are tested against, and is refused past ``DENSE_MAX_N`` nodes
-before anything is allocated.
+(``WindowOperator.matrix``) and its diagonal blocks
+(``WindowOperator.block``) use the direct kernel; they are computed on
+access for the spectrum and small-grid checks, where they are the
+reference the forms are tested against, and are refused past
+``DENSE_MAX_N`` nodes before anything is allocated.
 """
 
 from __future__ import annotations
@@ -88,23 +89,29 @@ class WindowOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense n x n operator, computed on access (small grids only).
+        """The dense n x n operator, computed on access (small grids only)."""
+        return self.block(slice(None))
+
+    def block(self, sl: slice) -> np.ndarray:
+        """The diagonal block of the dense operator on the nodes ``sl``.
 
         The direct sin((k - k')T) / (pi (k - k')) kernel, independent of the
-        split ``bilinear_forms`` uses.  Real for a centred window, complex
-        (the phase exp(i (k - k') center)) otherwise; T = inf gives the
-        identity.  Built in two n x n arrays (k - k' and the kernel) and a
-        boolean diagonal mask: k - k' is reused for pi (k - k') and then for
+        split ``bilinear_forms`` uses; each entry takes only its own two
+        nodes, so a block has the bits of the same entries of ``matrix``.
+        Real for a centred window, complex (the phase
+        exp(i (k - k') center)) otherwise; T = inf gives the identity.
+        Built in two m x m arrays (k - k' and the kernel) and a boolean
+        diagonal mask: k - k' is reused for pi (k - k') and then for
         sqrt(w) sqrt(w)^T, and an off-centre window takes its phase (the
         complex result) before that.  Raises DenseBudgetError before
-        allocating when n > DENSE_MAX_N.
+        allocating when the block has more than DENSE_MAX_N nodes.
         """
-        n = self.grid.size
+        k = self.grid.nodes[sl]
+        n = k.size
         if n > DENSE_MAX_N:
             raise DenseBudgetError("window matrix", n)
         if math.isinf(self.T):
             return np.eye(n)
-        k = self.grid.nodes
         dk = np.subtract.outer(k, k)
         same = dk == 0
         kern = dk * self.T
@@ -119,7 +126,7 @@ class WindowOperator:
             kern /= np.multiply(math.pi, dk, out=dk)
         # removable singularity where a row meets its own column
         kern[same] = self.T / math.pi
-        sw = self.grid.sqrt_weights
+        sw = self.grid.sqrt_weights[sl]
         kern *= np.multiply.outer(sw, sw, out=dk)
         if self.center == 0.0:
             return kern

@@ -315,6 +315,12 @@ def test_exit_codes(tmp_path, capsys):
         ("nbool", "run", dict(RUN_CFG, n_channels=True), ("'n_channels'", "True")),
         ("ninf", "run", dict(RUN_CFG, n_channels=math.inf), ("'n_channels'", "inf")),
         ("bitfrac", "run", dict(RUN_CFG, bit=0.9), ("'bit'", "0.9")),
+        # a string is not read one character at a time
+        ("timesstr", "attack", dict(RUN_CFG, times="10"), ("'times'", "JSON array")),
+        ("deltasstr", "sweep", dict(SWEEP_CFG, deltas="12"), ("'deltas'", "JSON array")),
+        ("shapesstr", "sweep", dict(SWEEP_CFG, shapes="rectangular"), ("'shapes'", "JSON array")),
+        # k_c +- delta/2 round to one number: the support is empty
+        ("kchuge", "sweep", dict(SWEEP_CFG, k_c=1e300), ("'k_c'", "empty", "delta = 0.5")),
     ):
         capsys.readouterr()
         assert main([cmd, "--config", _write(tmp_path, cfg, f"{name}.json")]) == EXIT_CONFIG
@@ -326,6 +332,41 @@ def test_exit_codes(tmp_path, capsys):
     # the old advisory --jobs option is gone
     assert main(["run", "--config", _write(tmp_path, RUN_CFG), "--jobs", "2"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cmd", ["attack", "run"])
+@pytest.mark.parametrize("wrong, named", [
+    ([12.0, 1.0], ("JSON object", "[12.0, 1.0]")),
+    ("raised-cosine", ("JSON object",)),
+    ({"shape": "rectangular", "delta": 1.0}, ("missing key 'k_c'",)),
+    (None, ("missing config key",)),
+])
+def test_wrong_state_that_is_not_an_amplitude_is_config_error(tmp_path, capsys, cmd, wrong, named):
+    cfg = dict(RUN_CFG, adversary="wrong_state")
+    if wrong is not None:
+        cfg["wrong_state"] = wrong
+    capsys.readouterr()
+    assert main([cmd, "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'wrong_state'" in err and all(part in err for part in named), err
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "sweep.csv"
+    existing = tmp_path / "existing"
+    existing.write_text("kept\n")
+    for argv, path in (
+        (["sweep", "--config", _write(tmp_path, SWEEP_CFG), "--out", str(missing)], missing),
+        # the json runs go into a directory, and a file is in the way
+        (["run", "--config", _write(tmp_path, RUN_CFG), "--format", "json",
+          "--out", str(existing)], existing),
+    ):
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"cannot write {path}" in err, err
+    assert not missing.parent.exists()
+    assert existing.read_text() == "kept\n"
 
 
 def test_run_bad_family_is_config_error(tmp_path):

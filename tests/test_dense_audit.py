@@ -1,14 +1,16 @@
 """The dense audit path: its footprint and the bits of its matrices.
 
-``relbc validate`` eigendecomposes every dense POVM element.  It may hold
-the three elements of one POVM plus one n x n work array, and the dense
-builders must give the same bits as the direct formulas below (the
-window's kernel built in full-size temporaries, and M_perp = (I - M_1) - M_2).
+``relbc validate`` eigendecomposes every dense POVM element.  It streams
+the elements of one POVM into the check, so it may hold their running sum,
+one element and eigvalsh's copy of it, and the dense builders must give the
+same values as the direct formulas below (the window's kernel built in
+full-size temporaries, and M_perp = (I - M_1) - M_2).
 """
 
 import io
 import math
 import tracemalloc
+import weakref
 from contextlib import redirect_stdout
 from dataclasses import replace
 
@@ -17,6 +19,7 @@ import pytest
 
 from relbc.cli import EXIT_OK, main
 from relbc.measurement import state_povm, support_povm
+from relbc.oracle import povm_validity_bruteforce
 from relbc.protocol import CommitConfig, ProtocolContext
 from relbc.spectra import disjoint_pair, grid_for_amplitudes, make_amplitude, sample
 from relbc.window import build_offset_window
@@ -70,6 +73,10 @@ def test_window_matrix_matches_direct_kernel_bitwise(pair, T, center):
     got, want = w.matrix, _direct_matrix(w)
     assert got.dtype == want.dtype == (np.float64 if center == 0.0 else np.complex128)
     assert np.array_equal(got, want)
+    # a diagonal block has the bits of the same entries of the matrix
+    for sl in (slice(256, 512), slice(700, None), slice(0, 0)):
+        block = w.block(sl)
+        assert block.dtype == got.dtype and block.tobytes() == got[sl, sl].tobytes()
 
 
 def _povms(a1, a2, grid, T, delay, center):
@@ -87,14 +94,37 @@ def test_elements_match_direct_formulas_bitwise(pair, T, delay, center):
     for povm in _povms(*pair, T, delay, center):
         # a delay reaches the state family's references only
         real = center == 0.0 and (povm.family == "support" or delay == 0.0)
-        got, want = povm.elements, _direct_elements(povm)
-        for name, m, ref in zip(("m1", "m2", "m_perp"), got, want):
-            assert m.shape == (povm.grid.size,) * 2
-            assert m.dtype == (np.float64 if real else np.complex128), (povm.family, name)
-            assert np.array_equal(m, ref), (povm.family, name)
+        want = _direct_elements(povm)
+        # array_equal compares values, so +0.0 and -0.0 count as equal
+        for got in (povm.elements, povm.iter_elements()):
+            for name, m, ref in zip(("m1", "m2", "m_perp"), got, want):
+                assert m.shape == (povm.grid.size,) * 2
+                assert m.dtype == (np.float64 if real else np.complex128), (povm.family, name)
+                assert np.array_equal(m, ref), (povm.family, name)
 
 
-def test_validate_op_holds_three_elements_and_one_work_array():
+@pytest.mark.parametrize("delay, center", [(0.0, 0.0), (0.0, 1.5), (3.0, 0.0)])
+def test_check_of_the_stream_matches_check_of_a_tuple(pair, delay, center):
+    for povm in _povms(*pair, 1.0, delay, center):
+        streamed = povm_validity_bruteforce(povm, povm.iter_elements())
+        assert streamed == povm_validity_bruteforce(povm)
+        assert streamed == povm_validity_bruteforce(povm, povm.elements)
+        assert streamed["passed"], povm.family
+
+
+def test_stream_keeps_no_reference_to_what_it_has_yielded(pair):
+    for povm in _povms(*pair, 1.0, 3.0, 1.5):
+        elements = povm.iter_elements()
+        for _ in range(3):
+            m = next(elements)
+            gone = weakref.ref(m)
+            del m
+            assert gone() is None, povm.family
+        with pytest.raises(StopIteration):
+            next(elements)
+
+
+def test_validate_op_holds_the_sum_one_element_and_eigvalshs_copy():
     cfg = CommitConfig(n_channels=1, amp1=make_amplitude("rectangular", 12.0, 1.0),
                        amp2=make_amplitude("rectangular", 10.0, 1.0), t_open=10.0)
     n = ProtocolContext(cfg).grid.size
@@ -107,5 +137,5 @@ def test_validate_op_holds_three_elements_and_one_work_array():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    # the validate POVMs are real: four float64 n x n arrays plus slack
-    assert peak <= 4.5 * n * n * 8, peak
+    # the validate POVMs are real: three float64 n x n arrays plus slack
+    assert peak <= 3.5 * n * n * 8, peak

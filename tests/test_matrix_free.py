@@ -267,6 +267,8 @@ def test_dense_materialisation_fails_fast(big_grid):
     _fails_without_allocating(lambda: window_spectrum(w), n)
     _fails_without_allocating(lambda: support.elements, n)
     _fails_without_allocating(lambda: state.elements, n)
+    for povm in (support, state):
+        _fails_without_allocating(lambda: next(povm.iter_elements()), n)
     # the forms themselves still work on this grid
     assert 0.0 < detect_prob(w, s1) < 1.0
     d = measurement.outcome_dist(support, s1)

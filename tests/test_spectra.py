@@ -56,6 +56,14 @@ def test_rejects_unphysical_amplitudes(kwargs):
         SpectralAmplitude(**kwargs)
 
 
+@pytest.mark.parametrize("k_c, delta", [(1e300, 0.5), (1e17, 1.0)])
+def test_rejects_support_that_collapses(k_c, delta):
+    # k_c - delta/2 and k_c + delta/2 round to the same number
+    with pytest.raises(ValueError, match="empty") as info:
+        SpectralAmplitude(shape="rectangular", k_c=k_c, delta=delta)
+    assert repr(k_c) in str(info.value) and repr(delta) in str(info.value)
+
+
 def test_disjoint_pair_supports():
     a1, a2 = disjoint_pair(12.0, 10.0, 1.0)
     assert a1.support == (11.5, 12.5)
