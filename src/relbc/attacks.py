@@ -61,23 +61,20 @@ def transmitted_state(strategy: Strategy, claimed_bit: int, ctx: protocol.Protoc
 def per_channel_flag_probs(
     strategy: Strategy,
     ctx: protocol.ProtocolContext,
-    family: str,
     times,
     claimed_bit: int = 0,
 ) -> list[float]:
     """Probability that one channel contradicts the claim A will open, per time.
 
-    Support family: only a definite wrong outcome flags (silence never
-    contradicts a claim).  State family: verification demands confirmation,
-    so anything but the claimed outcome flags, q = 1 - p_claimed.  The
-    transmitted state is sampled once and every window is evaluated in one
-    form.
+    Under the config's POVM family.  Support family: only a definite wrong
+    outcome flags (silence never contradicts a claim).  State family:
+    verification demands confirmation, so anything but the claimed outcome
+    flags, q = 1 - p_claimed.  The transmitted state is sampled once and
+    every window is evaluated in one form.
     """
-    times = list(times)
-    if any(T < 0 for T in times):
-        raise ValueError("window parameter must be non-negative")
+    family = ctx.config.povm_family
     sent = transmitted_state(strategy, claimed_bit, ctx)
-    povms = [ctx.povm(T, family) for T in times]
+    povms = [ctx.povm(T) for T in times]
     flags = []
     for dist in measurement.outcome_dists(povms, sent):
         p_claimed, p_wrong = (
@@ -87,16 +84,11 @@ def per_channel_flag_probs(
     return flags
 
 
-def cheat_detection_prob(
-    strategy: Strategy,
-    n_channels: int,
-    ctx: protocol.ProtocolContext,
-    family: str,
-    T: float,
-) -> float:
-    """Probability at least one of N channels flags: 1 - (1 - q)^N."""
-    q = per_channel_flag_probs(strategy, ctx, family, [T])[0]
-    return 1.0 - (1.0 - q) ** n_channels
+def cheat_detection_prob(strategy: Strategy, ctx: protocol.ProtocolContext, T: float) -> float:
+    """Probability that at least one of the config's N channels flags, with
+    each channel's claimed bit uniform: 1 - (1 - (q_0 + q_1)/2)^N."""
+    q = sum(per_channel_flag_probs(strategy, ctx, [T], bit)[0] for bit in (0, 1)) / 2.0
+    return 1.0 - (1.0 - q) ** ctx.config.n_channels
 
 
 def sent_pair(strategy: Strategy, ctx: protocol.ProtocolContext):
@@ -109,48 +101,43 @@ def sent_pair(strategy: Strategy, ctx: protocol.ProtocolContext):
 
 
 def monte_carlo_detection_rate(
-    strategy: Strategy,
-    n_channels: int,
-    ctx: protocol.ProtocolContext,
-    family: str,
-    T: float,
-    runs: int,
-    seed: int = 0,
+    strategy: Strategy, ctx: protocol.ProtocolContext, T: float, runs: int
 ) -> float:
     """Sampled counterpart of cheat_detection_prob over seeded runs.
 
-    Run i draws uniform claimed bits and then one outcome per channel from
-    the stream (seed, i); it is flagged when any channel flags.
+    Run i draws uniform claimed bits for the config's N channels and then
+    one outcome per channel from the stream (seed, i); it is flagged when
+    any channel flags under the config's POVM family.
     """
-    dists = ctx.outcome_dists(T, sent_pair(strategy, ctx), family)
+    config = ctx.config
+    dists = ctx.outcome_dists(T, sent_pair(strategy, ctx))
     flagged = 0
     for i in range(runs):
-        rng = np.random.default_rng([seed, i])
-        claims = rng.integers(0, 2, size=n_channels)
+        rng = np.random.default_rng([config.seed, i])
+        claims = rng.integers(0, 2, size=config.n_channels)
         outcomes = measurement.sample_outcomes(dists, claims, rng)
         hit = outcomes != claims + 1
-        if family == "support":
+        if config.povm_family == "support":
             hit &= outcomes != measurement.PERP
         flagged += bool(hit.any())
     return flagged / runs
 
 
 def early_binding_advantages(
-    config: protocol.CommitConfig,
-    t_probes,
-    ctx: protocol.ProtocolContext,
+    ctx: protocol.ProtocolContext, t_probes
 ) -> list[tuple[float, float, float]]:
     """B's parity-identification success from measuring at each t_probe.
 
     Each entry is (individual p^N, collective p^(N/2), guess-augmented) with
-    p = detect probability of a carrier inside the window (-t_probe, t_probe);
-    every window is evaluated in one form.
+    N the config's channel count and p = detect probability of a carrier
+    inside the window (-t_probe, t_probe); every window is evaluated in one
+    form.
     """
     t_probes = list(t_probes)
-    if any(not 0.0 <= t < config.t_open for t in t_probes):
+    if any(not 0.0 <= t < ctx.config.t_open for t in t_probes):
         raise ValueError("probe time must lie in [0, t_open)")
     windows = [window.build_window(ctx.grid, t) for t in t_probes]
-    n = config.n_channels
+    n = ctx.config.n_channels
     return [
         (
             protocol.ident_prob_individual(p, n),

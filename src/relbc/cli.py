@@ -254,9 +254,7 @@ def cmd_run(args) -> int:
     strategy = _strategy(cfg)
     bit = _require(cfg, "bit", _bit, default=0)
     ctx = _context(config, strategy)
-    transcripts = protocol.run_many(
-        config, args.runs, bit, ctx, sent=attacks.sent_pair(strategy, ctx)
-    )
+    transcripts = protocol.run_many(ctx, args.runs, bit, sent=attacks.sent_pair(strategy, ctx))
     if args.format == "json":
         if args.out is None:
             for t in transcripts:
@@ -301,10 +299,10 @@ def cmd_attack(args) -> int:
     n = config.n_channels
     param = strategy.tau0 if strategy.kind == "delayed" else config.t_probe
     times = sorted(times)
-    qs = attacks.per_channel_flag_probs(strategy, ctx, config.povm_family, times)
+    qs = attacks.per_channel_flag_probs(strategy, ctx, times)
     # B's advantage per probe time; rows past t_probe share one
     probes = sorted({min(config.t_probe, t) for t in times})
-    early = dict(zip(probes, attacks.early_binding_advantages(config, probes, ctx)))
+    early = dict(zip(probes, attacks.early_binding_advantages(ctx, probes)))
     rows = [
         (strategy.kind, param, n, t, q, 1.0 - (1.0 - q) ** n,
          *early[min(config.t_probe, t)])

@@ -140,15 +140,16 @@ class ProtocolContext:
         return replace(first, window=window.build_window(self.grid, t))
 
     def outcome_dists(
-        self, t: float, sent=None, family: str | None = None
+        self, t: float, sent=None
     ) -> tuple[measurement.OutcomeDist, measurement.OutcomeDist]:
-        """Outcome distributions at window parameter t for channel bits 0 and 1.
+        """Outcome distributions under the config's POVM family at window
+        parameter t, for channel bits 0 and 1.
 
         ``sent`` is what the sender ships for each channel bit (a state or
         the n x r factor of a density matrix); the honest carriers by
         default.  The POVM is built once and dropped on return.
         """
-        povm = self.povm(t, family)
+        povm = self.povm(t)
         s0, s1 = (self.psi1, self.psi2) if sent is None else sent
         d0 = measurement.outcome_dist(povm, s0)
         return d0, d0 if s1 is s0 else measurement.outcome_dist(povm, s1)
@@ -229,18 +230,16 @@ def run_protocol(
 
 
 def run_many(
-    config: CommitConfig,
-    runs: int,
-    bit: int,
-    ctx: ProtocolContext,
-    sent=None,
+    ctx: ProtocolContext, runs: int, bit: int, sent=None
 ) -> list[CommitTranscript]:
-    """Independent seeded runs; run i uses the stream (seed, i).
+    """Independent seeded runs of the context's config; run i uses the
+    stream (seed, i).
 
     ``sent`` is what the sender ships for channel bits 0 and 1 (see
     ``ProtocolContext.outcome_dists``); their distributions are computed
     once for the whole batch.
     """
+    config = ctx.config
     dists = ctx.outcome_dists(config.open_window, sent)
     return [
         run_protocol(config, bit, np.random.default_rng([config.seed, i]), dists)

@@ -341,7 +341,7 @@ class SampledState:
         if values.shape != self.grid.nodes.shape:
             raise ValueError("values must match the grid")
         norm = float(self.grid.weights @ np.abs(values) ** 2)
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:
             raise ValueError(f"state is not normalized: quadrature norm {norm}")
 
     def weighted(self) -> np.ndarray:

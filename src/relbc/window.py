@@ -87,6 +87,13 @@ class WindowOperator:
     T: float
     center: float = 0.0
 
+    def __post_init__(self):
+        # written so that NaN fails; T = inf is the identity
+        if not self.T >= 0:
+            raise ValueError(f"window half-width must be non-negative, got {self.T!r}")
+        if not math.isfinite(self.center):
+            raise ValueError(f"window centre must be finite, got {self.center!r}")
+
     @property
     def matrix(self) -> np.ndarray:
         """The dense n x n operator, computed on access (small grids only)."""
@@ -136,8 +143,6 @@ class WindowOperator:
 
 def build_window(grid: KGrid, T: float) -> WindowOperator:
     """Symmetric window (-T, T); T = inf gives the identity (full access)."""
-    if T < 0:
-        raise ValueError("window half-width must be non-negative")
     return WindowOperator(grid=grid, T=T)
 
 

@@ -7,6 +7,7 @@ line for any failing criterion anyway).
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,7 +192,7 @@ def test_criterion_08_honest_completeness(long_run):
     config, ctx = long_run
     runs = 10_000
     p1 = measurement.outcome_dist(ctx.povm(config.t_open), ctx.carrier(0)).p1
-    verdicts = [t.verdict for t in protocol.run_many(config, runs, bit=0, ctx=ctx)]
+    verdicts = [t.verdict for t in protocol.run_many(ctx, runs, bit=0)]
     aborts = verdicts.count(protocol.ABORT)
     accepts = verdicts.count(protocol.ACCEPT)
     expect = p1**config.n_channels
@@ -209,16 +210,14 @@ def test_criterion_08_honest_completeness(long_run):
 def test_criterion_09_attack_detection(long_run):
     config, ctx = long_run
     runs = 2000
-    rate = monte_carlo_detection_rate(
-        Strategy(kind="mixed"), 20, ctx, "support", config.t_open, runs, seed=99
-    )
+    wide = protocol.ProtocolContext(replace(config, n_channels=20, seed=99))
+    rate = monte_carlo_detection_rate(Strategy(kind="mixed"), wide, config.t_open, runs)
     expect = 1.0 - 2.0**-20
     sigma = math.sqrt(expect * (1.0 - expect) / runs)
     mixed_ok = abs(rate - expect) < 3.0 * sigma
     tau0 = 2.0 * math.pi / config.amp1.delta
-    (q,) = per_channel_flag_probs(
-        Strategy(kind="delayed", tau0=tau0), ctx, "state", [config.t_open]
-    )
+    state = protocol.ProtocolContext(replace(config, povm_family="state"))
+    (q,) = per_channel_flag_probs(Strategy(kind="delayed", tau0=tau0), state, [config.t_open])
     delayed_ok = q >= 0.95
     # phase-blindness of the support family, evaluated at the projective
     # (fully open window) limit where it is an exact operator identity

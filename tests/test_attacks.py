@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,11 @@ def long_ctx(config):
         t_open=1000.0,
     )
     return ProtocolContext(long)
+
+
+def _variant(ctx, **changes):
+    """The context of ``ctx``'s config with some fields changed."""
+    return ProtocolContext(replace(ctx.config, **changes))
 
 
 def test_strategy_validation():
@@ -82,18 +88,21 @@ def test_transmitted_state_wrong(ctx, config):
 def test_honest_support_flag_prob_is_zero(ctx, config):
     # an honest carrier lives entirely inside its own support projector
     for bit in (0, 1):
-        (q,) = per_channel_flag_probs(HONEST, ctx, "support", [config.t_open], bit)
+        (q,) = per_channel_flag_probs(
+            HONEST, _variant(ctx, povm_family="support"), [config.t_open], bit
+        )
         assert q == 0.0
 
 
 def test_honest_state_flag_prob_vanishes(long_ctx):
     # the state family flags silence too, so q -> 0 only in the long window
-    (q,) = per_channel_flag_probs(HONEST, long_ctx, "state", [1000.0])
+    (q,) = per_channel_flag_probs(HONEST, long_ctx, [1000.0])
     assert q < 0.01
 
 
 def test_mixed_support_flag_prob_approaches_half(long_ctx):
-    (q,) = per_channel_flag_probs(Strategy(kind="mixed"), long_ctx, "support", [1000.0])
+    support = _variant(long_ctx, povm_family="support")
+    (q,) = per_channel_flag_probs(Strategy(kind="mixed"), support, [1000.0])
     assert abs(q - 0.5) < 0.01
 
 
@@ -101,14 +110,15 @@ def test_delayed_state_flag_prob(long_ctx, config):
     # a delay of a full beat period nearly empties the claimed-state outcome
     tau0 = 2 * math.pi / config.amp1.delta
     (q,) = per_channel_flag_probs(
-        Strategy(kind="delayed", tau0=tau0), long_ctx, "state", [1000.0]
+        Strategy(kind="delayed", tau0=tau0), long_ctx, [1000.0]
     )
     assert q >= 0.95
 
 
 def test_cheat_detection_closed_form(long_ctx):
-    p = cheat_detection_prob(Strategy(kind="mixed"), 20, long_ctx, "support", 1000.0)
-    (q,) = per_channel_flag_probs(Strategy(kind="mixed"), long_ctx, "support", [1000.0])
+    support = _variant(long_ctx, n_channels=20, povm_family="support")
+    p = cheat_detection_prob(Strategy(kind="mixed"), support, 1000.0)
+    (q,) = per_channel_flag_probs(Strategy(kind="mixed"), support, [1000.0])
     assert p == pytest.approx(1.0 - (1.0 - q) ** 20, rel=1e-12)
     assert p > 1.0 - 2.0 ** -19
 
@@ -116,23 +126,39 @@ def test_cheat_detection_closed_form(long_ctx):
 def test_monte_carlo_matches_analytic(ctx, config):
     strategy = Strategy(kind="mixed")
     n, runs = 3, 4000
-    expect = cheat_detection_prob(strategy, n, ctx, "support", config.t_open)
-    rate = monte_carlo_detection_rate(
-        strategy, n, ctx, "support", config.t_open, runs, seed=17
-    )
+    support = _variant(ctx, n_channels=n, povm_family="support", seed=17)
+    expect = cheat_detection_prob(strategy, support, config.t_open)
+    rate = monte_carlo_detection_rate(strategy, support, config.t_open, runs)
+    sigma = math.sqrt(expect * (1 - expect) / runs)
+    assert abs(rate - expect) < 3.5 * sigma
+
+
+@pytest.mark.parametrize("family", ["support", "state"])
+def test_closed_form_and_monte_carlo_average_the_claimed_bit(family):
+    # a sender that ships carrier 1 for both bits is flagged almost only on
+    # claims of bit 1, so counting claims of bit 0 alone misses it
+    amp1, amp2 = disjoint_pair(12.0, 10.0, 1.0)
+    ctx = ProtocolContext(CommitConfig(
+        n_channels=5, amp1=amp1, amp2=amp2, t_open=100.0, povm_family=family, seed=11,
+    ))
+    strategy = Strategy(kind="wrong_state", amplitude=amp1)
+    q0, q1 = (per_channel_flag_probs(strategy, ctx, [100.0], bit)[0] for bit in (0, 1))
+    assert q0 < 0.07 < 0.99 < q1
+    expect = cheat_detection_prob(strategy, ctx, 100.0)
+    assert expect == pytest.approx(1.0 - (1.0 - (q0 + q1) / 2) ** 5, rel=1e-12)
+    runs = 4000
+    rate = monte_carlo_detection_rate(strategy, ctx, 100.0, runs)
     sigma = math.sqrt(expect * (1 - expect) / runs)
     assert abs(rate - expect) < 3.5 * sigma
 
 
 def test_monte_carlo_deterministic(ctx, config):
-    args = (Strategy(kind="mixed"), 2, ctx, "state", config.t_open, 200)
-    assert monte_carlo_detection_rate(*args, seed=3) == monte_carlo_detection_rate(
-        *args, seed=3
-    )
+    args = (Strategy(kind="mixed"), _variant(ctx, n_channels=2, seed=3), config.t_open, 200)
+    assert monte_carlo_detection_rate(*args) == monte_carlo_detection_rate(*args)
 
 
 def test_early_binding_at_zero(config, ctx):
-    [(ind, coll, guess)] = early_binding_advantages(config, [0.0], ctx)
+    [(ind, coll, guess)] = early_binding_advantages(ctx, [0.0])
     assert ind == 0.0
     assert coll == 0.0
     assert guess == 0.5
@@ -142,13 +168,13 @@ def test_early_binding_consistency(config, ctx):
     t = 5.0
     w = build_window(ctx.grid, t)
     p = detect_prob(w, ctx.psi1)
-    [(ind, coll, guess)] = early_binding_advantages(config, [t], ctx)
+    [(ind, coll, guess)] = early_binding_advantages(ctx, [t])
     n = config.n_channels
     assert ind == pytest.approx(p**n, rel=1e-12)
     assert coll == pytest.approx(p ** (n / 2), rel=1e-12)
     assert guess == pytest.approx(p**n + (1 - p**n) / 2, rel=1e-12)
     with pytest.raises(ValueError, match="probe"):
-        early_binding_advantages(config, [config.t_open], ctx)
+        early_binding_advantages(ctx, [config.t_open])
 
 
 def test_required_bandwidth_bound_holds():
@@ -180,8 +206,8 @@ def test_windows_past_t_open_are_rejected(ctx, config):
     for call in (
         lambda: ctx.povm(t),
         lambda: ctx.outcome_dists(t),
-        lambda: per_channel_flag_probs(HONEST, ctx, "state", [t]),
-        lambda: monte_carlo_detection_rate(HONEST, 3, ctx, "support", t, 10),
+        lambda: per_channel_flag_probs(HONEST, ctx, [t]),
+        lambda: monte_carlo_detection_rate(HONEST, _variant(ctx, povm_family="support"), t, 10),
     ):
         with pytest.raises(ValueError, match=r"t = 30\.0 exceeds t_open = 20\.0"):
             call()

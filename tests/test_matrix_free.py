@@ -210,7 +210,7 @@ def test_mixed_distribution_memory_at_n3072():
     mixed = attacks.Strategy(kind="mixed")
     tracemalloc.start()
     try:
-        ctx.outcome_dists(1e3, attacks.sent_pair(mixed, ctx), "state")
+        ctx.outcome_dists(1e3, attacks.sent_pair(mixed, ctx))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

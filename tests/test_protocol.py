@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relbc import attacks, measurement
+from relbc import attacks, measurement, spectra
 from relbc.measurement import PERP, OutcomeDist, sample_outcomes
 from relbc.protocol import (
     ABORT,
@@ -108,7 +109,7 @@ def test_measurement_rejects_negative_time(config, ctx):
 def test_support_family_never_misfires(config, ctx):
     # honest disjoint-support carriers can never trip the wrong projector
     rng = np.random.default_rng(4)
-    dists = ctx.outcome_dists(config.t_open, family="support")
+    dists = ProtocolContext(replace(config, povm_family="support")).outcome_dists(config.t_open)
     for _ in range(200):
         record = commit(config, 0, rng)
         outcomes = sample_outcomes(dists, record.channel_bits, rng)
@@ -130,7 +131,7 @@ def test_open_and_verify_verdicts(config):
 
 
 def test_run_protocol_honest_never_aborts(config, ctx):
-    for t in run_many(config, 100, bit=1, ctx=ctx):
+    for t in run_many(ctx, 100, bit=1):
         assert t.verdict in (ACCEPT, INCONCLUSIVE)
         # A opens exactly what it committed
         j = t.to_json()
@@ -139,8 +140,8 @@ def test_run_protocol_honest_never_aborts(config, ctx):
 
 
 def test_run_protocol_deterministic(config, ctx):
-    a = run_many(config, 5, bit=0, ctx=ctx)
-    b = run_many(config, 5, bit=0, ctx=ctx)
+    a = run_many(ctx, 5, bit=0)
+    b = run_many(ctx, 5, bit=0)
     assert [t.to_json() for t in a] == [t.to_json() for t in b]
     # ... and distinct run indices do differ somewhere
     assert any(x.to_json() != y.to_json() for x, y in zip(a, a[1:]))
@@ -213,7 +214,7 @@ def _direct_dists(ctx, t, sent):
 @pytest.mark.parametrize("bit", [0, 1])
 def test_run_many_follows_stream_contract(config, ctx, kind, bit):
     sent = attacks.sent_pair(attacks.Strategy(kind=kind, tau0=3.0), ctx)
-    got = run_many(config, 60, bit=bit, ctx=ctx, sent=sent)
+    got = run_many(ctx, 60, bit=bit, sent=sent)
     expect = _reference_runs(config, 60, bit, _direct_dists(ctx, config.t_open, sent))
     assert [(t.outcomes, t.verdict) for t in got] == expect
     assert len({v for _, v in expect}) > 1
@@ -221,16 +222,23 @@ def test_run_many_follows_stream_contract(config, ctx, kind, bit):
 
 @pytest.mark.parametrize("delay", [20.0, 80.0])
 def test_channel_delay_shortens_the_window(config, ctx, delay):
-    delayed = CommitConfig(
-        n_channels=config.n_channels, amp1=config.amp1, amp2=config.amp2,
-        t_open=config.t_open, seed=config.seed, channel_delay=delay,
-    )
+    delayed = replace(config, channel_delay=delay)
     t = max(config.t_open - delay, 0.0)
     dists = _direct_dists(ctx, t, (ctx.psi1, ctx.psi2))
     assert ctx.outcome_dists(t) == dists
     assert dists != ctx.outcome_dists(config.t_open)
-    got = run_many(delayed, 60, bit=1, ctx=ctx)
+    got = run_many(ProtocolContext(delayed), 60, bit=1)
     assert [(t.outcomes, t.verdict) for t in got] == _reference_runs(delayed, 60, 1, dists)
+
+
+def test_variant_context_shares_grid_and_carriers(config):
+    ctx = ProtocolContext(config)
+    before = spectra._layout_grid.cache_info()
+    variant = ProtocolContext(replace(config, n_channels=20, povm_family="support", seed=3))
+    after = spectra._layout_grid.cache_info()
+    assert variant.grid is ctx.grid
+    assert variant.psi1 is ctx.psi1 and variant.psi2 is ctx.psi2
+    assert after.misses == before.misses and after.hits > before.hits
 
 
 def test_ident_formulas():

@@ -6,6 +6,7 @@ import pytest
 
 from relbc import spectra
 from relbc.spectra import (
+    SampledState,
     SpectralAmplitude,
     disjoint_pair,
     gauss_legendre_grid,
@@ -104,6 +105,12 @@ def test_sample_rejects_coarse_grid():
     coarse = gauss_legendre_grid([(9.5, 10.5)], 32)
     with pytest.raises(ValueError, match="coarse"):
         sample(amp, coarse)
+
+
+def test_state_rejects_nan_values():
+    grid = grid_for_amplitudes([make_amplitude("rectangular", 10.0, 1.0)])
+    with pytest.raises(ValueError, match="not normalized: quadrature norm nan"):
+        SampledState(grid, np.full(grid.size, np.nan))
 
 
 def test_sample_phase_invariance_of_intensity():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from relbc import oracle
 from relbc.spectra import grid_for_amplitudes, make_amplitude, sample
 from relbc.window import (
+    WindowOperator,
     bilinear_forms,
     build_offset_window,
     build_window,
@@ -35,6 +36,20 @@ def test_negative_window_rejected(flat):
     _, grid, _ = flat
     with pytest.raises(ValueError):
         build_window(grid, -1.0)
+
+
+# NaN slips past a `<` comparison, so each of these used to give a nan
+# probability or fail only later, as a broken operator
+@pytest.mark.parametrize("make, message", [
+    (lambda g, s: detect_prob(build_window(g, math.nan), s), "non-negative, got nan"),
+    (lambda g, s: build_offset_window(g, math.nan, 1.0), "non-negative, got nan"),
+    (lambda g, s: WindowOperator(g, 1.0, center=math.inf), "centre must be finite, got inf"),
+    (lambda g, s: WindowOperator(g, -1.0), "non-negative, got -1.0"),
+], ids=["nan-half-width", "nan-offset-endpoint", "infinite-centre", "negative-half-width"])
+def test_window_checks_its_own_parameters(flat, make, message):
+    _, grid, state = flat
+    with pytest.raises(ValueError, match=message):
+        make(grid, state)
 
 
 def test_kernel_hermitian(flat):
