@@ -103,23 +103,26 @@ def sent_pair(strategy: Strategy, ctx: protocol.ProtocolContext):
 def monte_carlo_detection_rate(
     strategy: Strategy, ctx: protocol.ProtocolContext, T: float, runs: int
 ) -> float:
-    """Sampled counterpart of cheat_detection_prob over seeded runs.
+    """Sampled counterpart of cheat_detection_prob: the flagged fraction of
+    seeded protocol rounds with the measurement at window T.
 
-    Run i draws uniform claimed bits for the config's N channels and then
-    one outcome per channel from the stream (seed, i); it is flagged when
-    any channel flags under the config's POVM family.
+    Run i takes the stream (seed, i), draws a uniform committed bit from it
+    and plays ``protocol.run_protocol`` on the same stream, so its channel
+    bits are uniform too.  A round is flagged by its verdict: an abort in
+    the support family, anything but accept in the state family.
     """
     config = ctx.config
     dists = ctx.outcome_dists(T, sent_pair(strategy, ctx))
+    flags = (
+        (protocol.ABORT,)
+        if config.povm_family == "support"
+        else (protocol.ABORT, protocol.INCONCLUSIVE)
+    )
     flagged = 0
     for i in range(runs):
         rng = np.random.default_rng([config.seed, i])
-        claims = rng.integers(0, 2, size=config.n_channels)
-        outcomes = measurement.sample_outcomes(dists, claims, rng)
-        hit = outcomes != claims + 1
-        if config.povm_family == "support":
-            hit &= outcomes != measurement.PERP
-        flagged += bool(hit.any())
+        bit = int(rng.integers(2))
+        flagged += protocol.run_protocol(config, bit, rng, dists).verdict in flags
     return flagged / runs
 
 
@@ -160,23 +163,26 @@ def required_bandwidth(
     Solves p(t_c)^(N/2) <= 2*epsilon for the largest compliant delta by
     bisection against the window's detect probability; the returned
     bandwidth satisfies the bound by construction (the bracket's low end).
+    The carrier (shape, k_c = delta, delta) scales with delta, so p depends
+    on x = delta * t_c alone: the bisection runs in x on the carrier with
+    delta = 1, whose grids at each x share one panel layout up to x = 512.
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 1/2)")
     if t_c <= 0:
         raise ValueError("storage time must be positive")
     target = (2.0 * epsilon) ** (2.0 / n_channels)
+    unit = SpectralAmplitude(shape=shape, k_c=1.0, delta=1.0)
 
-    def p_of(delta: float) -> float:
-        amp = SpectralAmplitude(shape=shape, k_c=delta, delta=delta)
-        grid = grid_for_amplitudes([amp], T=t_c)
-        return window.detect_prob(window.build_window(grid, t_c), sample(amp, grid))
+    def p_of(x: float) -> float:
+        grid = grid_for_amplitudes([unit], T=x)
+        return window.detect_prob(window.build_window(grid, x), sample(unit, grid))
 
-    lo = 1e-6 / t_c
-    hi = 2.0 / t_c
+    lo = 1e-6
+    hi = 2.0
     while p_of(hi) < target:
         hi *= 2.0
-        if hi * t_c > 1e6:
+        if hi > 1e6:
             raise ValueError("no bandwidth reaches the target probability")
     if p_of(lo) > target:
         raise ValueError("epsilon too small for the bisection bracket")
@@ -186,4 +192,4 @@ def required_bandwidth(
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo / t_c

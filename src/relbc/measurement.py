@@ -202,18 +202,15 @@ def state_povm(psi1: SampledState, psi2: SampledState, T: float) -> Povm:
     )
 
 
-def mixed_density(states, weights=None) -> np.ndarray:
-    """Factor F of the convex mixture rho = sum_j w_j |u_j><u_j| = F F^H.
+def mixed_density(states) -> np.ndarray:
+    """Factor F of the equal mixture rho = (1/m) sum_j |u_j><u_j| = F F^H
+    of m states.
 
-    Column j is sqrt(w_j) u_j in the weighted basis; weights default to
-    equal (unit trace).
+    Column j is sqrt(1/m) u_j in the weighted basis, so rho has unit trace.
     """
     states = list(states)
-    if weights is None:
-        weights = [1.0 / len(states)] * len(states)
-    if any(not wt >= 0 for wt in weights):
-        raise ValueError("mixture weights must be non-negative")
-    return np.column_stack([math.sqrt(wt) * s.weighted() for wt, s in zip(weights, states)])
+    m = len(states)
+    return np.column_stack([math.sqrt(1.0 / m) * s.weighted() for s in states])
 
 
 def _clamp_prob(p: float, label: str) -> float:

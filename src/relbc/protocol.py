@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,8 +41,9 @@ class CommitConfig:
     channel_delay: float = 0.0
 
     def __post_init__(self):
-        if self.n_channels < 1:
-            raise ValueError("need at least one channel")
+        n = self.n_channels
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"n_channels must be an integer >= 1, got {n!r}")
         if not 0 <= self.channel_delay < math.inf:
             raise ValueError(
                 f"channel_delay must be finite and non-negative, got {self.channel_delay!r}"
@@ -171,21 +173,13 @@ def commit(config: CommitConfig, bit: int, rng: np.random.Generator) -> CommitRe
     return CommitRecord(bit=int(bit), channel_bits=channel_bits)
 
 
-def open_and_verify(
-    config: CommitConfig,
-    claims: CommitRecord,
-    outcomes,
-    open_time: float,
-) -> str:
-    """B's verdict once A has opened.
+def open_and_verify(claims: CommitRecord, outcomes) -> str:
+    """B's verdict once A has opened at t_open.
 
     abort: some definite outcome contradicts the opened channel bit.
     accept: every channel gave a definite, matching outcome.
     inconclusive: no contradiction, but some channel stayed silent.
-    Opening before the agreed horizon is a protocol-order violation.
     """
-    if open_time < config.t_open:
-        raise ValueError("opening before t_open violates the protocol order")
     if len(claims.channel_bits) != len(outcomes):
         raise ValueError("one claim per channel required")
     definite_match = True
@@ -202,30 +196,22 @@ def run_protocol(
     bit: int,
     rng: np.random.Generator,
     dists: tuple[measurement.OutcomeDist, measurement.OutcomeDist],
-    record: CommitRecord | None = None,
 ) -> CommitTranscript:
-    """One full commit / measure / open / verify round.
+    """One full commit / measure / open / verify round: the only code that
+    plays a round.
 
     ``dists`` are the outcome distributions per channel bit at the
-    measurement (``ProtocolContext.outcome_dists``).  ``record`` skips the
-    commit draw when the channel bits were fixed upstream.  A's opened
-    claims are always the committed record.
+    measurement (``ProtocolContext.outcome_dists``).  The round takes the
+    commit draw (N - 1 uniform channel bits), then one draw per channel,
+    from ``rng``; A's opened claims are always the committed record.
     """
-    if record is None:
-        record = commit(config, bit, rng)
-    elif record.bit != bit:
-        raise ValueError("record parity does not match the committed bit")
-    elif len(record.channel_bits) != config.n_channels:
-        raise ValueError(
-            f"record has {len(record.channel_bits)} channel bits, "
-            f"config has {config.n_channels} channels"
-        )
+    record = commit(config, bit, rng)
     outcomes = tuple(measurement.sample_outcomes(dists, record.channel_bits, rng).tolist())
     return CommitTranscript(
         config=config,
         record=record,
         outcomes=outcomes,
-        verdict=open_and_verify(config, record, outcomes, config.t_open),
+        verdict=open_and_verify(record, outcomes),
     )
 
 
@@ -281,24 +267,22 @@ def simulate_identification(
     return float(all_fired.mean()), float(success.mean())
 
 
-def storage_security_curve(config: CommitConfig, times) -> list[tuple[float, float]]:
-    """Secure-storage probability P_store(t), from 1 (t = 0) down to 0.
+def storage_security_curve(ctx: ProtocolContext, times) -> list[tuple[float, float]]:
+    """Secure-storage probability P_store(t), from 1 (t = 0) down to 0, for
+    the context's N carriers.
 
     The adversary B is credited max(collective, guessing) success; the
     advantage over a fair coin is rescaled so success 1/2 maps to security 1
     and success 1 maps to security 0.
     """
     times = [float(t) for t in times]
-    if any(t < 0 or t > config.t_open for t in times):
+    if any(t < 0 or t > ctx.config.t_open for t in times):
         raise ValueError("times must lie within [0, t_open]")
-    ctx = ProtocolContext(config)
+    n = ctx.config.n_channels
     windows = [window.build_window(ctx.grid, t) for t in times]
     curve = []
     for t, p in zip(times, window.detect_probs(windows, ctx.psi1)):
-        best = max(
-            ident_prob_collective(p, config.n_channels),
-            guess_success(p, config.n_channels),
-        )
+        best = max(ident_prob_collective(p, n), guess_success(p, n))
         curve.append((t, 1.0 - 2.0 * (best - 0.5)))
     return curve
 

@@ -148,7 +148,8 @@ def test_criterion_06_monotonicity():
         monotone &= all(a <= b + 1e-12 for a, b in zip(probs, probs[1:]))
     amp1, amp2 = disjoint_pair(12.0, 10.0, 1.0)
     config = protocol.CommitConfig(n_channels=4, amp1=amp1, amp2=amp2, t_open=20.0)
-    curve = [s for _, s in protocol.storage_security_curve(config, times)]
+    ctx = protocol.ProtocolContext(config)
+    curve = [s for _, s in protocol.storage_security_curve(ctx, times)]
     curve_ok = all(a >= b - 1e-12 for a, b in zip(curve, curve[1:]))
     assert _verdict(
         6,

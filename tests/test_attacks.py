@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from relbc import measurement, spectra
 from relbc.attacks import (
     HONEST,
     Strategy,
@@ -12,10 +13,11 @@ from relbc.attacks import (
     monte_carlo_detection_rate,
     per_channel_flag_probs,
     required_bandwidth,
+    sent_pair,
     transmitted_state,
 )
-from relbc.protocol import CommitConfig, ProtocolContext
-from relbc.spectra import SampledState, disjoint_pair, make_amplitude
+from relbc.protocol import ABORT, INCONCLUSIVE, CommitConfig, ProtocolContext, run_protocol
+from relbc.spectra import SampledState, disjoint_pair, grid_for_amplitudes, make_amplitude
 from relbc.window import build_window, detect_prob
 
 
@@ -157,6 +159,30 @@ def test_monte_carlo_deterministic(ctx, config):
     assert monte_carlo_detection_rate(*args) == monte_carlo_detection_rate(*args)
 
 
+@pytest.mark.parametrize("kind", ["mixed", "wrong_state"])
+@pytest.mark.parametrize(
+    ("family", "flagged"), [("support", (ABORT,)), ("state", (ABORT, INCONCLUSIVE))]
+)
+def test_monte_carlo_follows_stream_contract(ctx, config, family, flagged, kind):
+    # run i: a uniform committed bit from the stream (seed, i), then one
+    # protocol round on the same stream, flagged by its verdict
+    fam = _variant(ctx, povm_family=family)
+    strategy = Strategy(kind=kind, amplitude=config.amp1)
+    povm = (
+        measurement.support_povm(ctx.grid, config.amp1.support, config.amp2.support, 15.0)
+        if family == "support"
+        else measurement.state_povm(ctx.psi1, ctx.psi2, 15.0)
+    )
+    dists = tuple(measurement.outcome_dist(povm, s) for s in sent_pair(strategy, fam))
+    runs, hits = 300, 0
+    for i in range(runs):
+        rng = np.random.default_rng([config.seed, i])
+        bit = int(rng.integers(2))
+        hits += run_protocol(fam.config, bit, rng, dists).verdict in flagged
+    assert monte_carlo_detection_rate(strategy, fam, 15.0, runs) == hits / runs
+    assert 0 < hits < runs
+
+
 def test_early_binding_at_zero(config, ctx):
     [(ind, coll, guess)] = early_binding_advantages(ctx, [0.0])
     assert ind == 0.0
@@ -191,6 +217,18 @@ def test_required_bandwidth_bound_holds():
     grid2 = grid_for_amplitudes([amp2], T=t_c)
     p2 = detect_prob(build_window(grid2, t_c), sample(amp2, grid2))
     assert p2 ** (n / 2) > 2 * epsilon
+
+
+def test_required_bandwidth_reuses_one_layout():
+    # the bisection runs on one normalised carrier, so it neither rebuilds a
+    # layout per step nor evicts the grids already cached
+    amp1, amp2 = disjoint_pair(12.0, 10.0, 1.0)
+    grid = grid_for_amplitudes([amp1, amp2], T=20.0)
+    before = spectra._layout_grid.cache_info()
+    required_bandwidth(0.1, 50.0, 4)
+    after = spectra._layout_grid.cache_info()
+    assert after.misses - before.misses <= 1
+    assert grid_for_amplitudes([amp1, amp2], T=20.0) is grid
 
 
 def test_required_bandwidth_validation():

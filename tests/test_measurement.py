@@ -159,7 +159,7 @@ def test_outcome_dist_rejects_bad_trace(pair):
     a1, a2, grid, s1, _ = pair
     povm = support_povm(grid, a1.support, a2.support, 1.0)
     with pytest.raises(ValueError, match="trace"):
-        outcome_dist(povm, mixed_density([s1], [2.0]))
+        outcome_dist(povm, 2.0 * s1.weighted()[:, None])
 
 
 def test_outcome_dist_rejects_state_on_another_grid_of_the_same_size():

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,6 @@ from relbc.protocol import (
     ident_prob_individual,
     open_and_verify,
     run_many,
-    run_protocol,
     simulate_identification,
     storage_security_curve,
 )
@@ -51,6 +51,16 @@ def test_config_rejects_overlapping_carriers():
     with pytest.raises(ValueError, match="channel"):
         CommitConfig(n_channels=0, amp1=amp1, amp2=amp2, t_open=10.0)
     del bad
+
+
+@pytest.mark.parametrize("n", [2.5, math.nan, math.inf, True, 0, -1, "3"])
+def test_config_rejects_channel_counts_that_are_not_counts(n):
+    # p^2.5 or a NaN would otherwise flow into every closed form, and True
+    # would run as one channel
+    amp1, amp2 = disjoint_pair(12.0, 10.0, 1.0)
+    message = f"n_channels must be an integer >= 1, got {n!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CommitConfig(n_channels=n, amp1=amp1, amp2=amp2, t_open=10.0)
 
 
 def test_record_parity_invariant():
@@ -117,17 +127,15 @@ def test_support_family_never_misfires(config, ctx):
             assert o in (PERP, b + 1)
 
 
-def test_open_and_verify_verdicts(config):
+def test_open_and_verify_verdicts():
     claims = CommitRecord(bit=0, channel_bits=(0, 1, 1))
-    assert open_and_verify(config, claims, (1, 2, 2), config.t_open) == ACCEPT
-    assert open_and_verify(config, claims, (1, PERP, 2), config.t_open) == INCONCLUSIVE
-    assert open_and_verify(config, claims, (2, 2, 2), config.t_open) == ABORT
+    assert open_and_verify(claims, (1, 2, 2)) == ACCEPT
+    assert open_and_verify(claims, (1, PERP, 2)) == INCONCLUSIVE
+    assert open_and_verify(claims, (2, 2, 2)) == ABORT
     # abort wins even when other channels are silent
-    assert open_and_verify(config, claims, (PERP, 1, PERP), config.t_open) == ABORT
-    with pytest.raises(ValueError, match="t_open"):
-        open_and_verify(config, claims, (1, 2, 2), config.t_open - 1.0)
+    assert open_and_verify(claims, (PERP, 1, PERP)) == ABORT
     with pytest.raises(ValueError, match="per channel"):
-        open_and_verify(config, claims, (1, 2), config.t_open)
+        open_and_verify(claims, (1, 2))
 
 
 def test_run_protocol_honest_never_aborts(config, ctx):
@@ -145,23 +153,6 @@ def test_run_protocol_deterministic(config, ctx):
     assert [t.to_json() for t in a] == [t.to_json() for t in b]
     # ... and distinct run indices do differ somewhere
     assert any(x.to_json() != y.to_json() for x, y in zip(a, a[1:]))
-
-
-def test_run_protocol_fixed_record(config, ctx):
-    record = CommitRecord(bit=1, channel_bits=(1, 1, 1))
-    dists = ctx.outcome_dists(config.open_window)
-    t = run_protocol(config, 1, np.random.default_rng(0), dists, record=record)
-    assert t.record is record
-    with pytest.raises(ValueError, match="parity"):
-        run_protocol(config, 0, np.random.default_rng(0), dists, record=record)
-
-
-def test_run_protocol_record_length_check(config, ctx):
-    # one channel bit on a three-channel config is not a record of this commit
-    short = CommitRecord(bit=1, channel_bits=(1,))
-    dists = ctx.outcome_dists(config.open_window)
-    with pytest.raises(ValueError, match="channel"):
-        run_protocol(config, 1, np.random.default_rng(0), dists, record=short)
 
 
 def _reference_outcomes(dists, channel_bits, rng):
@@ -201,7 +192,7 @@ def _reference_runs(config, runs, bit, dists):
         rng = np.random.default_rng([config.seed, i])
         record = commit(config, bit, rng)
         outcomes = tuple(_reference_outcomes(dists, record.channel_bits, rng))
-        out.append((outcomes, open_and_verify(config, record, outcomes, config.t_open)))
+        out.append((outcomes, open_and_verify(record, outcomes)))
     return out
 
 
@@ -270,16 +261,16 @@ def test_simulate_identification_matches_formulas():
             assert abs(freq - expect) < 4 * sigma + 1e-12
 
 
-def test_storage_security_curve(config):
+def test_storage_security_curve(config, ctx):
     times = np.linspace(0.0, config.t_open, 12)
-    curve = storage_security_curve(config, times)
+    curve = storage_security_curve(ctx, times)
     vals = [s for _, s in curve]
     assert vals[0] == pytest.approx(1.0, abs=1e-12)
     # monotone decline as the window opens
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 0.2
     with pytest.raises(ValueError, match="t_open"):
-        storage_security_curve(config, [config.t_open + 1.0])
+        storage_security_curve(ctx, [config.t_open + 1.0])
 
 
 @pytest.mark.parametrize("family", ["support", "state"])
