@@ -111,6 +111,7 @@ def monte_carlo_detection_rate(
     bits are uniform too.  A round is flagged by its verdict: an abort in
     the support family, anything but accept in the state family.
     """
+    protocol._check_count("runs", runs, 1)
     config = ctx.config
     dists = ctx.outcome_dists(T, sent_pair(strategy, ctx))
     flags = (
@@ -156,7 +157,6 @@ def required_bandwidth(
     t_c: float,
     n_channels: int,
     shape: str = "rectangular",
-    max_iter: int = 60,
 ) -> float:
     """Bandwidth making the collective attack epsilon-harmless up to t_c.
 
@@ -171,6 +171,7 @@ def required_bandwidth(
         raise ValueError("epsilon must lie in (0, 1/2)")
     if t_c <= 0:
         raise ValueError("storage time must be positive")
+    protocol._check_count("n_channels", n_channels, 1)
     target = (2.0 * epsilon) ** (2.0 / n_channels)
     unit = SpectralAmplitude(shape=shape, k_c=1.0, delta=1.0)
 
@@ -186,7 +187,7 @@ def required_bandwidth(
             raise ValueError("no bandwidth reaches the target probability")
     if p_of(lo) > target:
         raise ValueError("epsilon too small for the bisection bracket")
-    for _ in range(max_iter):
+    for _ in range(60):
         mid = math.sqrt(lo * hi)
         if p_of(mid) <= target:
             lo = mid

@@ -348,15 +348,17 @@ def _corrupt_first(elements):
 def cmd_validate(args) -> int:
     lines = [f"# relbc {__version__} validate"]
     failures = 0
-    ctx = protocol.ProtocolContext(protocol.CommitConfig(
-        n_channels=1,
-        amp1=make_amplitude("rectangular", 12.0, 1.0),
-        amp2=make_amplitude("rectangular", 10.0, 1.0),
-        t_open=10.0,
-    ))
-    for family in ("support", "state"):
+    for family in measurement.FAMILIES:
+        # the POVMs run and attack measure; grid and carriers come from the caches
+        ctx = protocol.ProtocolContext(protocol.CommitConfig(
+            n_channels=1,
+            amp1=make_amplitude("rectangular", 12.0, 1.0),
+            amp2=make_amplitude("rectangular", 10.0, 1.0),
+            t_open=10.0,
+            povm_family=family,
+        ))
         for T in (0.1, 1.0, 10.0):
-            ok, line = _audit_povm(ctx.povm(T, family), args.inject_corruption)
+            ok, line = _audit_povm(ctx.povm(T), args.inject_corruption)
             failures += not ok
             lines.append(f"povm family={family} T={T}: {line}")
     for shape in ("rectangular", "truncated-gaussian", "raised-cosine"):

@@ -35,6 +35,8 @@ from .window import DENSE_MAX_N, DenseBudgetError, WindowOperator, bilinear_form
 
 PERP = 0  # outcome code for the inconclusive channel
 
+FAMILIES = ("support", "state")
+
 _NEG_TOL = 1e-9
 
 # Rows of b2 b2^H the state family's M_perp subtracts at a time.
@@ -64,12 +66,16 @@ class Povm:
 
     ``refs`` are the 0/1 indicator vectors of E_1, E_2 (support family) or
     the weighted reference states psi_1, psi_2 (state family), read-only:
-    the POVMs of one ``ProtocolContext`` family share them.
+    the POVMs of one ``ProtocolContext`` share them.
     """
 
     family: str
     window: WindowOperator
     refs: tuple[np.ndarray, np.ndarray]
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown POVM family {self.family!r}, expected one of {FAMILIES}")
 
     @property
     def T(self) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from .spectra import KGrid, SampledState, SpectralAmplitude, grid_for_amplitudes
 ACCEPT = "accept"
 ABORT = "abort"
 INCONCLUSIVE = "inconclusive"
-
-FAMILIES = ("support", "state")
 
 
 @dataclass(frozen=True)
@@ -41,9 +39,7 @@ class CommitConfig:
     channel_delay: float = 0.0
 
     def __post_init__(self):
-        n = self.n_channels
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"n_channels must be an integer >= 1, got {n!r}")
+        _check_count("n_channels", self.n_channels, 1)
         if not 0 <= self.channel_delay < math.inf:
             raise ValueError(
                 f"channel_delay must be finite and non-negative, got {self.channel_delay!r}"
@@ -52,7 +48,7 @@ class CommitConfig:
             raise ValueError(f"t_open must be positive and finite, got {self.t_open!r}")
         if not 0.0 <= self.t_probe < self.t_open:
             raise ValueError("probe time must satisfy 0 <= t_probe < t_open")
-        if self.povm_family not in FAMILIES:
+        if self.povm_family not in measurement.FAMILIES:
             raise ValueError(f"unknown POVM family {self.povm_family!r}")
         lo1, hi1 = self.amp1.support
         lo2, hi2 = self.amp2.support
@@ -104,7 +100,7 @@ class CommitTranscript:
 
 
 class ProtocolContext:
-    """Grid and reference states shared across runs of one config."""
+    """Grid, carriers and POVM references shared across runs of one config."""
 
     def __init__(self, config: CommitConfig):
         self.config = config
@@ -113,33 +109,29 @@ class ProtocolContext:
         )
         self.psi1: SampledState = sample(config.amp1, self.grid)
         self.psi2: SampledState = sample(config.amp2, self.grid)
-        self._povms: dict[str, measurement.Povm] = {}
+        # window-independent, so built and checked once, by the family's constructor
+        self._refs = (
+            measurement.support_povm(
+                self.grid, config.amp1.support, config.amp2.support, config.t_open
+            )
+            if config.povm_family == "support"
+            else measurement.state_povm(self.psi1, self.psi2, config.t_open)
+        ).refs
 
-    def povm(self, t: float, family: str | None = None) -> measurement.Povm:
-        """Build the POVM with window parameter t (the config's family by default).
+    def povm(self, t: float) -> measurement.Povm:
+        """The config family's POVM at window parameter t, on the context's references.
 
         The grid is resolved for windows up to t_open only: a finite t past
-        it raises ValueError.  A family's references do not depend on t, so
-        they are built and checked once per context, and later POVMs of the
-        family share them with a window of their own.
+        it raises ValueError.
         """
         if t > self.config.t_open and not math.isinf(t):
             raise ValueError(
                 f"window t = {t!r} exceeds t_open = {self.config.t_open!r}, "
                 "the largest window the grid is resolved for"
             )
-        family = family or self.config.povm_family
-        first = self._povms.get(family)
-        if first is None:
-            first = self._povms[family] = (
-                measurement.support_povm(
-                    self.grid, self.config.amp1.support, self.config.amp2.support, t
-                )
-                if family == "support"
-                else measurement.state_povm(self.psi1, self.psi2, t)
-            )
-            return first
-        return replace(first, window=window.build_window(self.grid, t))
+        return measurement.Povm(
+            self.config.povm_family, window.build_window(self.grid, t), self._refs
+        )
 
     def outcome_dists(
         self, t: float, sent=None
@@ -225,6 +217,7 @@ def run_many(
     ``ProtocolContext.outcome_dists``); their distributions are computed
     once for the whole batch.
     """
+    _check_count("runs", runs, 0)
     config = ctx.config
     dists = ctx.outcome_dists(config.open_window, sent)
     return [
@@ -285,6 +278,12 @@ def storage_security_curve(ctx: ProtocolContext, times) -> list[tuple[float, flo
         best = max(ident_prob_collective(p, n), guess_success(p, n))
         curve.append((t, 1.0 - 2.0 * (best - 0.5)))
     return curve
+
+
+def _check_count(name: str, value, least: int):
+    """Raise unless ``value`` is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_p(p: float):

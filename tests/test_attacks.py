@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,14 @@ from relbc.attacks import (
     sent_pair,
     transmitted_state,
 )
-from relbc.protocol import ABORT, INCONCLUSIVE, CommitConfig, ProtocolContext, run_protocol
+from relbc.protocol import (
+    ABORT,
+    INCONCLUSIVE,
+    CommitConfig,
+    ProtocolContext,
+    run_many,
+    run_protocol,
+)
 from relbc.spectra import SampledState, disjoint_pair, grid_for_amplitudes, make_amplitude
 from relbc.window import build_window, detect_prob
 
@@ -238,6 +246,31 @@ def test_required_bandwidth_validation():
         required_bandwidth(1e-3, 0.0, 2)
 
 
+# each function's count argument: its name, least value and a call with it
+COUNT_CALLS = {
+    "required_bandwidth": ("n_channels", 1, lambda ctx, n: required_bandwidth(0.1, 50.0, n)),
+    "monte_carlo_detection_rate": (
+        "runs", 1, lambda ctx, runs: monte_carlo_detection_rate(HONEST, ctx, 1.0, runs)),
+    "run_many": ("runs", 0, lambda ctx, runs: run_many(ctx, runs, 0)),
+}
+
+
+@pytest.mark.parametrize("fn, value", [
+    ("required_bandwidth", 0), ("required_bandwidth", 2.5), ("required_bandwidth", True),
+    ("required_bandwidth", -2), ("monte_carlo_detection_rate", -3),
+    ("monte_carlo_detection_rate", 0), ("run_many", -2), ("run_many", True),
+])
+def test_counts_are_checked_by_name(ctx, fn, value):
+    # without the check, N = 0 or runs = 0 divide by zero, N = 2.5 gives a
+    # fractional channel count, True runs as 1 and N = -2 searches for seconds
+    name, least, call = COUNT_CALLS[fn]
+    message = f"{name} must be an integer >= {least}, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(ctx, value)
+    # relbc run --runs 0 writes a header-only CSV
+    assert run_many(ctx, 0, 0) == []
+
+
 def test_windows_past_t_open_are_rejected(ctx, config):
     # the grid is resolved for windows up to t_open only
     t = config.t_open * 1.5
@@ -249,4 +282,4 @@ def test_windows_past_t_open_are_rejected(ctx, config):
     ):
         with pytest.raises(ValueError, match=r"t = 30\.0 exceeds t_open = 20\.0"):
             call()
-    assert ctx.povm(math.inf, "support").T == math.inf
+    assert _variant(ctx, povm_family="support").povm(math.inf).T == math.inf

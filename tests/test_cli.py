@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -202,12 +204,31 @@ def test_attack_matches_per_time_reference(tmp_path, family, adversary):
     assert [float(r[3]) for r in rows] == sorted(times)
     for r in rows:
         t = float(r[3])
-        d = measurement.outcome_dist(ctx.povm(t, family), sent)
+        d = measurement.outcome_dist(ctx.povm(t), sent)
         q = d.p2 if family == "support" else 1.0 - d.p1
         p = window.detect_prob(window.build_window(ctx.grid, min(2.0, t)), ctx.psi1)
         expect = (q, 1.0 - (1.0 - q) ** 3, p**3, p**1.5, p**3 + (1.0 - p**3) / 2.0)
         got = [float(v) for v in r[4:]]
         assert max(abs(g - e) for g, e in zip(got, expect)) <= 1e-13, (t, got, expect)
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    """The README's config heredocs and relbc lines, run in a temp dir."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    heredocs = re.findall(r"^cat > (\S+) <<'EOF'\n(.*?)\nEOF$", readme, re.M | re.S)
+    assert [name for name, _ in heredocs] == ["sweep.json", "run.json", "attack.json"]
+    for name, text in heredocs:
+        (tmp_path / name).write_text(text)
+    commands = re.findall(r"^relbc (.*)$", readme, re.M)
+    assert [c.split()[0] for c in commands] == ["sweep", "run", "attack", "validate"]
+    for command in commands:
+        argv = shlex.split(command)
+        argv = [str(tmp_path / a) if prev in ("--config", "--out") else a
+                for prev, a in zip([None] + argv, argv)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK, command
+    assert capsys.readouterr().out.endswith("failures: 0\n")
+    assert all((tmp_path / out).exists() for out in ("sweep.csv", "runs.csv", "attack.csv"))
 
 
 def test_parser_is_reused_without_leaking_defaults(tmp_path):

@@ -12,6 +12,7 @@ materialisation past the budget fails before it allocates.
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,11 @@ def _context(t_open: float) -> ProtocolContext:
     """The README's two carriers (12, 10), delta = 1."""
     amp1, amp2 = disjoint_pair(12.0, 10.0, 1.0)
     return ProtocolContext(CommitConfig(n_channels=5, amp1=amp1, amp2=amp2, t_open=t_open))
+
+
+def _family(ctx, family: str) -> ProtocolContext:
+    """The context of ``ctx``'s config under another POVM family."""
+    return ProtocolContext(replace(ctx.config, povm_family=family))
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +84,7 @@ def test_forms_match_dense_matrices(ctx, log_t, tau0, wrong_delta, wrong_pos):
     lo, hi = 9.5 + wrong_delta / 2, 12.5 - wrong_delta / 2
     sent = _inputs(ctx, tau0, lo + wrong_pos * (hi - lo), wrong_delta)
     for family in ("support", "state"):
-        povm = ctx.povm(T, family)
+        povm = _family(ctx, family).povm(T)
         elements = povm.elements
         for name, s in sent.items():
             dist = measurement.outcome_dist(povm, s).as_array()
@@ -90,7 +96,7 @@ def test_forms_match_dense_matrices(ctx, log_t, tau0, wrong_delta, wrong_pos):
         u = s.weighted()
         assert abs(detect_prob(w, s) - float(np.real(np.vdot(u, matrix @ u)))) <= AGREE_ABS
     # disjoint supports: the support family's cross-probabilities are exact zeros
-    support = ctx.povm(T, "support")
+    support = _family(ctx, "support").povm(T)
     for s, wrong in ((ctx.psi1, "p2"), (sent["delayed"], "p2"), (ctx.psi2, "p1")):
         assert getattr(measurement.outcome_dist(support, s), wrong) == 0.0
 
@@ -109,7 +115,7 @@ def test_forms_match_dense_matrices_at_n3072(ctx3072, T):
     ctx = ctx3072
     sent = _inputs(ctx, 7.5, 11.0, 0.8)
     for family in ("support", "state"):
-        povm = ctx.povm(T, family)
+        povm = _family(ctx, family).povm(T)
         elements = povm.elements
         for name, s in sent.items():
             dist = measurement.outcome_dist(povm, s).as_array()
@@ -121,7 +127,7 @@ def test_forms_match_dense_matrices_at_n3072(ctx3072, T):
     for s in (sent["honest"], sent["delayed"], sent["wrong_state"]):
         u = s.weighted()
         assert abs(detect_prob(w, s) - float(np.real(np.vdot(u, matrix @ u)))) <= AGREE_ABS
-    support = ctx.povm(T, "support")
+    support = _family(ctx, "support").povm(T)
     for s, wrong in ((ctx.psi1, "p2"), (sent["delayed"], "p2"), (ctx.psi2, "p1")):
         assert getattr(measurement.outcome_dist(support, s), wrong) == 0.0
 
@@ -162,7 +168,8 @@ def test_multi_window_forms_match_dense_matrices(ctx, log_t, center, order, tau0
     empty = (((grid.nodes > lo) & (grid.nodes < hi)) * ctx.psi1.weighted())[:, None]
     assert not np.any(bilinear_forms(windows, empty, b))
     assert not np.any(bilinear_forms(windows, a, empty))
-    support = [ctx.povm(w.T, "support") for w in windows if w.center == 0.0]
+    support_ctx = _family(ctx, "support")
+    support = [support_ctx.povm(w.T) for w in windows if w.center == 0.0]
     assert all(d.p2 == 0.0 for d in measurement.outcome_dists(support, ctx.psi1))
     assert all(d.p1 == 0.0 for d in measurement.outcome_dists(support, ctx.psi2))
 
@@ -172,7 +179,7 @@ def test_multi_window_calls_reject_mixed_inputs(ctx, big_grid):
         bilinear_forms([build_window(ctx.grid, 1.0), build_window(big_grid, 1.0)],
                        ctx.psi1.weighted()[:, None], ctx.psi1.weighted()[:, None])
     with pytest.raises(ValueError, match="family and references"):
-        measurement.outcome_dists([ctx.povm(1.0, "state"), ctx.povm(1.0, "support")],
+        measurement.outcome_dists([ctx.povm(1.0), _family(ctx, "support").povm(1.0)],
                                   ctx.psi1)
     assert measurement.outcome_dists([], ctx.psi1) == []
     assert bilinear_forms([], ctx.psi1.weighted()[:, None], ctx.psi2.weighted()[:, None]).shape == (0, 1, 1)
@@ -188,17 +195,18 @@ def test_multi_window_calls_reject_mixed_inputs(ctx, big_grid):
 @example(log_t=math.log10(352.0), gap=0.0)
 def test_povm_validity_property(log_t, gap):
     amp1, amp2 = disjoint_pair(11.0 + gap, 10.0, 1.0)
-    c = ProtocolContext(CommitConfig(n_channels=2, amp1=amp1, amp2=amp2, t_open=352.0))
-    assert c.grid.size <= 768
     T = min(10.0**log_t, 352.0)  # 10**log10(352) rounds to just past t_open
     for family in ("support", "state"):
-        report = oracle.povm_validity_bruteforce(c.povm(T, family))
+        c = ProtocolContext(CommitConfig(n_channels=2, amp1=amp1, amp2=amp2, t_open=352.0,
+                                         povm_family=family))
+        assert c.grid.size <= 768
+        report = oracle.povm_validity_bruteforce(c.povm(T))
         assert report["passed"], (family, report["min_eigenvalue"],
                                   report["completeness_residual"])
 
 
 def test_outcome_dist_rejects_dense_density(ctx):
-    povm = ctx.povm(1.0, "state")
+    povm = ctx.povm(1.0)
     factor = measurement.mixed_density([ctx.psi1, ctx.psi2])
     with pytest.raises(ValueError, match="factor"):
         measurement.outcome_dist(povm, factor @ factor.conj().T)
@@ -222,7 +230,7 @@ def test_multi_window_mixed_distribution_memory_at_n3072(ctx3072):
     mixed = measurement.mixed_density([ctx3072.psi1, ctx3072.psi2])
     tracemalloc.start()
     try:
-        povms = [ctx3072.povm(T, "state") for T in (1e-3, 1.0, 10.0, 1e2, 1e3, 2e3)]
+        povms = [ctx3072.povm(T) for T in (1e-3, 1.0, 10.0, 1e2, 1e3, 2e3)]
         dists = measurement.outcome_dists(povms, mixed)
         _, peak = tracemalloc.get_traced_memory()
     finally:

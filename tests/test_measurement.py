@@ -6,8 +6,10 @@ import pytest
 
 from relbc import oracle
 from relbc.measurement import (
+    FAMILIES,
     PERP,
     OutcomeDist,
+    Povm,
     effective_angle,
     mixed_density,
     outcome_dist,
@@ -24,6 +26,16 @@ def pair():
     a1, a2 = disjoint_pair(12.0, 10.0, 1.0)
     grid = grid_for_amplitudes([a1, a2], T=20.0)
     return a1, a2, grid, sample(a1, grid), sample(a2, grid)
+
+
+def test_povm_rejects_unknown_family(pair):
+    # unchecked, a misspelt family is read as the state family, and support
+    # indicators as state references give p_perp far below zero
+    a1, a2, grid, *_ = pair
+    povm = support_povm(grid, a1.support, a2.support, 1.0)
+    with pytest.raises(ValueError, match="unknown POVM family 'suport'"):
+        Povm("suport", povm.window, povm.refs)
+    assert all(Povm(f, povm.window, povm.refs).family == f for f in FAMILIES)
 
 
 def test_support_povm_completeness_exact(pair):

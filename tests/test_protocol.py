@@ -275,8 +275,8 @@ def test_storage_security_curve(config, ctx):
 
 @pytest.mark.parametrize("family", ["support", "state"])
 def test_context_povms_share_their_references(config, family):
-    ctx = ProtocolContext(config)
-    first, later = ctx.povm(1.0, family), ctx.povm(5.0, family)
+    ctx = ProtocolContext(replace(config, povm_family=family))
+    first, later = ctx.povm(1.0), ctx.povm(5.0)
     assert later.T == 5.0 and later.family == family
     assert all(r is r0 for r, r0 in zip(later.refs, first.refs))
     with pytest.raises(ValueError, match="read-only"):
