@@ -21,15 +21,14 @@ from .spectra import (
     time_profile,
 )
 from .window import (
-    DenseBudgetError,
     WindowOperator,
     bilinear_forms,
     build_offset_window,
     build_window,
     detect_prob,
     detect_probs,
-    window_spectrum,
 )
+from .oracle import DenseBudgetError, window_spectrum
 from .measurement import (
     PERP,
     OutcomeDist,

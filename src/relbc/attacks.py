@@ -169,8 +169,9 @@ def required_bandwidth(
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 1/2)")
-    if t_c <= 0:
-        raise ValueError("storage time must be positive")
+    # written so that NaN fails
+    if not 0 < t_c < math.inf:
+        raise ValueError(f"storage time t_c must be positive and finite, got {t_c!r}")
     protocol._check_count("n_channels", n_channels, 1)
     target = (2.0 * epsilon) ** (2.0 / n_channels)
     unit = SpectralAmplitude(shape=shape, k_c=1.0, delta=1.0)

@@ -14,13 +14,11 @@ masks or reference states), and ``outcome_dist`` evaluates each
 probability as a bilinear form of the window (``window.bilinear_forms``).
 ``outcome_dists`` does so for POVMs that differ only in their window, with
 one form for all of their windows.  A mixed input is passed as its n x r
-factor F, rho = F F^H.  The dense elements are computed on access for
-brute-force checks on small grids, one at a time (``Povm.iter_elements``)
-or all three at once (``Povm.elements``).  They share one dtype: real
-(float64) whenever the POVM is real, as it is for a centred window and
-undelayed carriers, so the oracle's eigen-checks of them take the real
-symmetric solver; a delayed reference or an off-centre window makes them
-complex.
+factor F, rho = F F^H.  The dense elements, for brute-force checks on
+small grids, are built by the oracle one at a time
+(``oracle.povm_elements``), which refuses them past ``oracle.DENSE_MAX_N``
+= 4096 nodes; ``Povm.elements`` calls it and remains only for the
+benchmark's span annotations (``bench/spans.py``).
 """
 
 from __future__ import annotations
@@ -31,16 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectra import KGrid, SampledState, _same_grid, overlap
-from .window import DENSE_MAX_N, DenseBudgetError, WindowOperator, bilinear_forms, build_window
+from .window import WindowOperator, bilinear_forms, build_window
 
 PERP = 0  # outcome code for the inconclusive channel
 
 FAMILIES = ("support", "state")
 
 _NEG_TOL = 1e-9
-
-# Rows of b2 b2^H the state family's M_perp subtracts at a time.
-_PERP_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -87,107 +82,18 @@ class Povm:
 
     @property
     def elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense (M_1, M_2, M_perp), computed on access (small grids only).
-
-        ``tuple(self.iter_elements())``: all three, of one dtype, held at
-        once.  The oracle's check walks ``iter_elements`` instead, so an
-        audit holds the sum (in the first element's array, which it
-        overwrites), one element and eigvalsh's copy of it.
-        """
-        return tuple(self.iter_elements())
-
-    def iter_elements(self):
-        """Yield the dense M_1, M_2 and M_perp one at a time (small grids only).
-
-        Keeps no reference to an element it has yielded, so a consumer that
-        drops (or folds away) each element holds one at a time.  All three
-        share one dtype: real (float64) when the POVM is (a centred window
-        and references whose imaginary part is exactly zero, as for
-        undelayed carriers), complex otherwise (an off-centre window or a
-        delayed reference).  Raises DenseBudgetError before allocating when
-        the grid has more than DENSE_MAX_N nodes.
-
-        Support family: M_i is zero outside the diagonal block of the node
-        range where its indicator is nonzero, and that block is W's
-        (``WindowOperator.block``) scaled by the indicator's rows and then
-        its columns, so M_i has the bits of W * outer(ind, ind) up to the
-        sign of zeros; M_perp is the identity less M_i on each block.
-        No full W is built.  State family: b_i = W psi_i, with W cast to
-        complex once for complex references and dropped before the outer
-        products; M_perp is -M_1 + I from which M_2 is subtracted in row
-        blocks.  Either way M_perp has the values of (I - M_1) - M_2.
-        """
-        n = self.grid.size
-        if n > DENSE_MAX_N:
-            raise DenseBudgetError("POVM elements", n)
-        if self.family == "support":
-            return _support_elements(self.window, self.refs)
-        return _state_elements(self.window, self.refs)
-
-
-def _support_block(window: WindowOperator, ind: np.ndarray) -> tuple[slice, np.ndarray]:
-    """The node range where ``ind`` is nonzero and W's block on it, scaled
-    by ind on its rows and then on its columns."""
-    nz = np.flatnonzero(ind)
-    sl = slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
-    blk = window.block(sl)
-    blk *= ind[sl, None]
-    blk *= ind[sl]
-    return sl, blk
-
-
-def _support_element(window: WindowOperator, ind: np.ndarray) -> np.ndarray:
-    sl, blk = _support_block(window, ind)
-    n = window.grid.size
-    m = np.zeros((n, n), dtype=blk.dtype)
-    m[sl, sl] = blk
-    return m
-
-
-def _support_perp(window: WindowOperator, refs) -> np.ndarray:
-    m = None
-    for ind in refs:
-        sl, blk = _support_block(window, ind)
-        if m is None:
-            m = np.eye(window.grid.size, dtype=blk.dtype)
-        m[sl, sl] -= blk
-    return m
-
-
-def _support_elements(window: WindowOperator, refs):
-    # each element is built in a call, so no local holds it after its yield
-    for ind in refs:
-        yield _support_element(window, ind)
-    yield _support_perp(window, refs)
-
-
-def _state_elements(window: WindowOperator, refs):
-    w = window.matrix
-    if np.isrealobj(w) and not any(np.any(np.imag(r)) for r in refs):
-        refs = tuple(np.real(r) for r in refs)
-    elif np.isrealobj(w) and np.iscomplexobj(refs[0]):
-        w = w.astype(complex)  # once, not once per reference
-    b1, b2 = (w @ ref for ref in refs)
-    del w
-    yield np.outer(b1, np.conj(b1))
-    yield np.outer(b2, np.conj(b2))
-    yield _state_perp(b1, b2)
-
-
-def _state_perp(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """(-b1 b1^H + I) - b2 b2^H, with b2 b2^H taken ``_PERP_ROWS`` rows at a time."""
-    m = np.outer(b1, np.conj(b1))
-    np.negative(m, out=m)
-    m[np.diag_indices_from(m)] += 1.0
-    c2 = np.conj(b2)
-    for i in range(0, b2.size, _PERP_ROWS):
-        m[i:i + _PERP_ROWS] -= np.outer(b2[i:i + _PERP_ROWS], c2)
-    return m
+        """Dense (M_1, M_2, M_perp), ``tuple(oracle.povm_elements(self))``;
+        read only by the benchmark's span annotations (``bench/spans.py``)."""
+        from . import oracle
+        return tuple(oracle.povm_elements(self))
 
 
 def support_povm(grid: KGrid, e1, e2, T: float) -> Povm:
     """Support-projector family: M_i = P_{E_i} W_T P_{E_i}."""
     (lo1, hi1), (lo2, hi2) = (map(float, e1), map(float, e2))
+    for lo, hi in ((lo1, hi1), (lo2, hi2)):
+        if not -math.inf < lo < hi < math.inf:  # NaN fails too
+            raise ValueError(f"support interval ({lo!r}, {hi!r}) must be finite and non-empty")
     if max(lo1, lo2) < min(hi1, hi2):
         raise ValueError("support intervals overlap")
     ind1 = ((grid.nodes > lo1) & (grid.nodes < hi1)).astype(float)

@@ -1,9 +1,14 @@
-"""Independent brute-force cross-checks.
+"""Independent brute-force cross-checks and the dense references.
 
 Everything here recomputes detection probabilities and POVM properties by
 routes that never touch the bilinear-form code in ``window`` or
 ``measurement``: closed forms via a local sine integral, direct time-domain
 quadrature, full eigendecompositions, and exhaustive parity enumeration.
+
+The dense references the forms are tested against are built here from the
+direct sin((k - k')T) / (pi (k - k')) kernel (``window_matrix``,
+``povm_elements``, ``window_spectrum``), reading windows and POVMs as
+attributes, and are refused past ``DENSE_MAX_N`` nodes before allocating.
 """
 
 from __future__ import annotations
@@ -30,6 +35,28 @@ _HERMITIAN_TOL = 1e-12
 # doubles its k-nodes up to _MAX_NK (or keeps a larger starting count).
 _REFINEMENTS = 8
 _MAX_NK = 6000
+
+# Largest grid whose dense n x n matrices may be materialised: one complex
+# matrix at this size takes 256 MiB.
+DENSE_MAX_N = 4096
+
+# How far a window eigenvalue may stray outside [0, 1].
+_EIG_SLACK = 1e-9
+
+# Rows of b2 b2^H the state family's M_perp subtracts at a time.
+_PERP_ROWS = 128
+
+
+class DenseBudgetError(ValueError):
+    """A dense n x n matrix was asked for on a grid past ``DENSE_MAX_N``."""
+
+    def __init__(self, what: str, n: int):
+        self.n = n
+        self.bytes_needed = n * n * 16
+        super().__init__(
+            f"{what}: a dense complex {n} x {n} matrix needs {self.bytes_needed} bytes; "
+            f"dense matrices are limited to n <= {DENSE_MAX_N}"
+        )
 
 
 def sine_integral(x: float) -> float:
@@ -158,6 +185,124 @@ def detect_prob_time_domain(
     raise TimeDomainConvergenceError(amplitude, T, center, tol, last)
 
 
+def window_matrix(window, sl: slice = slice(None)) -> np.ndarray:
+    """The dense window's diagonal block on the nodes ``sl`` (all n by default).
+
+    Each entry takes only its own two nodes, so a block has the bits of the
+    same entries of the full matrix.  Real for a centred window, complex
+    (the phase exp(i (k - k') center)) otherwise; T = inf is the identity.
+    Built in two m x m arrays (k - k' and the kernel) and a boolean mask:
+    k - k' is reused for pi (k - k') and then for sqrt(w) sqrt(w)^T, after
+    an off-centre window has taken its phase from it.  Raises
+    DenseBudgetError before allocating past DENSE_MAX_N nodes.
+    """
+    k = window.grid.nodes[sl]
+    n = k.size
+    if n > DENSE_MAX_N:
+        raise DenseBudgetError("window matrix", n)
+    if math.isinf(window.T):
+        return np.eye(n)
+    dk = np.subtract.outer(k, k)
+    same = dk == 0
+    kern = dk * window.T
+    np.sin(kern, out=kern)
+    if window.center != 0.0:
+        # exp(i (k - k') center) as the cos and sin of its real phase
+        phase = np.empty(dk.shape, dtype=complex)
+        np.multiply(dk, window.center, out=phase.imag)
+        np.cos(phase.imag, out=phase.real)
+        np.sin(phase.imag, out=phase.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kern /= np.multiply(math.pi, dk, out=dk)
+    # removable singularity where a row meets its own column
+    kern[same] = window.T / math.pi
+    sw = window.grid.sqrt_weights[sl]
+    kern *= np.multiply.outer(sw, sw, out=dk)
+    if window.center == 0.0:
+        return kern
+    phase *= kern
+    return phase
+
+
+def window_spectrum(window) -> np.ndarray:
+    """Eigenvalues of W_T, descending; concentration eigenvalues in [0, 1].
+
+    Needs the dense matrix, so it is refused past DENSE_MAX_N nodes.
+    """
+    vals = np.linalg.eigvalsh(window_matrix(window))[::-1]
+    if vals.size and (vals[-1] < -_EIG_SLACK or vals[0] > 1.0 + _EIG_SLACK):
+        raise ValueError(f"window spectrum escapes [0, 1]: [{vals[-1]}, {vals[0]}]")
+    return vals
+
+
+def povm_elements(povm):
+    """Yield a POVM's dense M_1, M_2 and M_perp one at a time (small grids only).
+
+    Each element is built in a call, so no reference to it is kept once it
+    is yielded.  All three share one dtype: float64 for a real POVM (a
+    centred window and real references, as for undelayed carriers),
+    complex otherwise.  Raises DenseBudgetError past DENSE_MAX_N nodes,
+    before allocating.  Support family: M_i is W's block on its indicator's
+    node range, scaled by the indicator on its rows and then its columns,
+    and zero elsewhere; M_perp is I less each block; no full W is built.
+    State family: b_i = W psi_i, with W cast to complex once for complex
+    references and dropped before the outer products; M_perp is -M_1 + I
+    less M_2 in row blocks.  Either way M_perp has the values of
+    (I - M_1) - M_2.
+    """
+    n = povm.grid.size
+    if n > DENSE_MAX_N:
+        raise DenseBudgetError("POVM elements", n)
+    refs = povm.refs
+    if povm.family == "support":
+        for ind in refs:
+            yield _support_element(povm.window, (ind,), perp=False)
+        yield _support_element(povm.window, refs, perp=True)
+        return
+    w = window_matrix(povm.window)
+    if np.isrealobj(w) and not any(np.any(np.imag(r)) for r in refs):
+        refs = tuple(np.real(r) for r in refs)
+    elif np.isrealobj(w) and np.iscomplexobj(refs[0]):
+        w = w.astype(complex)  # once, not once per reference
+    b1, b2 = (w @ ref for ref in refs)
+    del w
+    yield np.outer(b1, np.conj(b1))
+    yield np.outer(b2, np.conj(b2))
+    yield _state_perp(b1, b2)
+
+
+def _support_element(window, inds, perp: bool) -> np.ndarray:
+    """W's block on the node range where each indicator is nonzero, scaled
+    by it on its rows and then on its columns, set into 0 (M_i, one
+    indicator) or subtracted from I (M_perp, both)."""
+    m = None
+    for ind in inds:
+        nz = np.flatnonzero(ind)
+        sl = slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
+        blk = window_matrix(window, sl)
+        blk *= ind[sl, None]
+        blk *= ind[sl]
+        if m is None:
+            n = window.grid.size
+            m = np.eye(n, dtype=blk.dtype) if perp else np.zeros((n, n), dtype=blk.dtype)
+        if perp:
+            m[sl, sl] -= blk
+        else:
+            m[sl, sl] = blk
+    return m
+
+
+def _state_perp(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """(-b1 b1^H + I) - b2 b2^H, with b2 b2^H taken ``_PERP_ROWS`` rows at a time."""
+    m = np.outer(b1, np.conj(b1))
+    np.negative(m, out=m)
+    m[np.diag_indices_from(m)] += 1.0
+    c2 = np.conj(b2)
+    for i in range(0, b2.size, _PERP_ROWS):
+        m[i:i + _PERP_ROWS] -= np.outer(b2[i:i + _PERP_ROWS], c2)
+    return m
+
+
 def _hermitian_residual(m: np.ndarray) -> float:
     """max|M - M^H| over the 128 x 128 tiles on and below the diagonal.
 
@@ -175,7 +320,7 @@ def povm_validity_bruteforce(povm, elements=None) -> dict:
     """Eigendecompose every element and the sum; report positivity/completeness.
 
     ``elements`` is an iterable of the dense M_1, M_2 and M_perp to check,
-    all of one dtype; ``povm.iter_elements()`` by default.  Each element is
+    all of one dtype; ``povm_elements(povm)`` by default.  Each element is
     checked as it arrives: eigvalsh and its max|M - M^H|, which must stay
     within ``_HERMITIAN_TOL`` (eigvalsh reads only the lower triangle, so
     its eigenvalues say nothing about an element that is not Hermitian).
@@ -187,7 +332,7 @@ def povm_validity_bruteforce(povm, elements=None) -> dict:
     it has yielded, three n x n arrays at most.  The elements are taken
     with ``next()``, not ``zip``, which would keep the previous one alive.
     """
-    elements = iter(povm.iter_elements() if elements is None else elements)
+    elements = iter(povm_elements(povm) if elements is None else elements)
     report = {"family": povm.family, "T": povm.T, "elements": {}}
     min_eig = math.inf
     hermitian = 0.0

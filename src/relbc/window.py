@@ -29,12 +29,11 @@ the sub-panel edges and the rule rather than from the stored nodes:
 
 A step builds at most ``_BLOCK_ENTRIES`` kernel entries, or one
 sub-panel's proxies against all others' (p^2 per sub-panel) on grids past
-about 4.7e5 nodes, so memory stays O(n) on any grid.  The dense matrix
-(``WindowOperator.matrix``) and its diagonal blocks
-(``WindowOperator.block``) use the direct kernel; they are computed on
-access for the spectrum and small-grid checks, where they are the
-reference the forms are tested against, and are refused past
-``DENSE_MAX_N`` nodes before anything is allocated.
+about 4.7e5 nodes, so memory stays O(n) on any grid.  The oracle builds
+the dense references the forms are tested against (``oracle.window_matrix``,
+``oracle.window_spectrum``) and refuses them past ``oracle.DENSE_MAX_N`` =
+4096 nodes; ``WindowOperator.matrix`` calls it, kept only for the
+benchmark's span annotations (``bench/spans.py``).
 """
 
 from __future__ import annotations
@@ -62,22 +61,6 @@ _PROXIES = 24
 # sub-panels two apart are far whatever the rounding of their edges.
 _FAR_GAP = 1.0 - 1e-9
 
-# Largest grid whose dense n x n matrices may be materialised: one complex
-# matrix at this size takes 256 MiB.
-DENSE_MAX_N = 4096
-
-
-class DenseBudgetError(ValueError):
-    """A dense n x n matrix was asked for on a grid past ``DENSE_MAX_N``."""
-
-    def __init__(self, what: str, n: int):
-        self.n = n
-        self.bytes_needed = n * n * 16
-        super().__init__(
-            f"{what}: a dense complex {n} x {n} matrix needs {self.bytes_needed} bytes; "
-            f"dense matrices are limited to n <= {DENSE_MAX_N}"
-        )
-
 
 @dataclass(frozen=True)
 class WindowOperator:
@@ -96,49 +79,10 @@ class WindowOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense n x n operator, computed on access (small grids only)."""
-        return self.block(slice(None))
-
-    def block(self, sl: slice) -> np.ndarray:
-        """The diagonal block of the dense operator on the nodes ``sl``.
-
-        The direct sin((k - k')T) / (pi (k - k')) kernel, independent of the
-        split ``bilinear_forms`` uses; each entry takes only its own two
-        nodes, so a block has the bits of the same entries of ``matrix``.
-        Real for a centred window, complex (the phase
-        exp(i (k - k') center)) otherwise; T = inf gives the identity.
-        Built in two m x m arrays (k - k' and the kernel) and a boolean
-        diagonal mask: k - k' is reused for pi (k - k') and then for
-        sqrt(w) sqrt(w)^T, and an off-centre window takes its phase (the
-        complex result) before that.  Raises DenseBudgetError before
-        allocating when the block has more than DENSE_MAX_N nodes.
-        """
-        k = self.grid.nodes[sl]
-        n = k.size
-        if n > DENSE_MAX_N:
-            raise DenseBudgetError("window matrix", n)
-        if math.isinf(self.T):
-            return np.eye(n)
-        dk = np.subtract.outer(k, k)
-        same = dk == 0
-        kern = dk * self.T
-        np.sin(kern, out=kern)
-        if self.center != 0.0:
-            # exp(i (k - k') center) as the cos and sin of its real phase
-            phase = np.empty(dk.shape, dtype=complex)
-            np.multiply(dk, self.center, out=phase.imag)
-            np.cos(phase.imag, out=phase.real)
-            np.sin(phase.imag, out=phase.imag)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kern /= np.multiply(math.pi, dk, out=dk)
-        # removable singularity where a row meets its own column
-        kern[same] = self.T / math.pi
-        sw = self.grid.sqrt_weights[sl]
-        kern *= np.multiply.outer(sw, sw, out=dk)
-        if self.center == 0.0:
-            return kern
-        phase *= kern
-        return phase
+        """The dense n x n operator, ``oracle.window_matrix(self)``; read only
+        by the benchmark's span annotations (``bench/spans.py``)."""
+        from . import oracle
+        return oracle.window_matrix(self)
 
 
 def build_window(grid: KGrid, T: float) -> WindowOperator:
@@ -356,16 +300,3 @@ def detect_probs(windows, state: SampledState) -> list[float]:
 def detect_prob(w: WindowOperator, state: SampledState) -> float:
     """<psi| W_T |psi>: probability of detection inside the window."""
     return detect_probs([w], state)[0]
-
-
-def window_spectrum(w: WindowOperator) -> np.ndarray:
-    """Eigenvalues of W_T, descending; concentration eigenvalues in [0, 1].
-
-    Needs the dense matrix, so it is refused past DENSE_MAX_N nodes.
-    """
-    vals = np.linalg.eigvalsh(w.matrix)[::-1]
-    if vals.size and (vals[-1] < -_EIG_SLACK or vals[0] > 1.0 + _EIG_SLACK):
-        raise ValueError(
-            f"window spectrum escapes [0, 1]: [{vals[-1]}, {vals[0]}]"
-        )
-    return vals

@@ -244,6 +244,11 @@ def test_required_bandwidth_validation():
         required_bandwidth(0.7, 1.0, 2)
     with pytest.raises(ValueError, match="positive"):
         required_bandwidth(1e-3, 0.0, 2)
+    # NaN returned nan and inf returned 0.0
+    with pytest.raises(ValueError, match="t_c must be positive and finite, got nan"):
+        required_bandwidth(1e-3, math.nan, 2)
+    with pytest.raises(ValueError, match="t_c must be positive and finite, got inf"):
+        required_bandwidth(1e-3, math.inf, 2)
 
 
 # each function's count argument: its name, least value and a call with it

@@ -342,6 +342,18 @@ def test_exit_codes(tmp_path, capsys):
         ("shapesstr", "sweep", dict(SWEEP_CFG, shapes="rectangular"), ("'shapes'", "JSON array")),
         # k_c +- delta/2 round to one number: the support is empty
         ("kchuge", "sweep", dict(SWEEP_CFG, k_c=1e300), ("'k_c'", "empty", "delta = 0.5")),
+        # numbers must be JSON numbers: a boolean or a numeric string is refused
+        ("deltabool", "run", dict(RUN_CFG, delta=True), ("config key 'delta'", "True")),
+        ("deltasbool", "sweep", dict(SWEEP_CFG, deltas=[True]), ("'deltas'", "True")),
+        ("timesbool", "attack", dict(RUN_CFG, times=[True, 10.0]), ("'times'", "True")),
+        ("tprobebool", "run", dict(RUN_CFG, t_probe=True), ("'t_probe'", "True")),
+        ("topenstr", "run", dict(RUN_CFG, t_open="20"), ("'t_open'", "'20'")),
+        ("nstr", "run", dict(RUN_CFG, n_channels="2"), ("'n_channels'", "'2'")),
+        ("bitstr", "run", dict(RUN_CFG, bit="1"), ("'bit'", "'1'")),
+        ("k1str", "attack", dict(RUN_CFG, k1="12"), ("config key 'k1'", "'12'")),
+        ("kcstr", "sweep", dict(SWEEP_CFG, k_c="10"), ("'k_c'", "'10'")),
+        ("tau0str", "attack", dict(RUN_CFG, adversary="delayed", tau0="6.28"),
+         ("'tau0'", "'6.28'")),
     ):
         capsys.readouterr()
         assert main([cmd, "--config", _write(tmp_path, cfg, f"{name}.json")]) == EXIT_CONFIG
@@ -361,6 +373,10 @@ def test_exit_codes(tmp_path, capsys):
     ("raised-cosine", ("JSON object",)),
     ({"shape": "rectangular", "delta": 1.0}, ("missing key 'k_c'",)),
     (None, ("missing config key",)),
+    # numbers must be JSON numbers
+    ({"shape": "rectangular", "k_c": "12", "delta": 1.0}, ("'k_c'", "'12'")),
+    ({"shape": "rectangular", "k_c": 12.0, "delta": True}, ("'delta'", "True")),
+    ({"shape": "rectangular", "k_c": 12.0, "delta": 1.0, "tau0": "6.28"}, ("'tau0'", "'6.28'")),
 ])
 def test_wrong_state_that_is_not_an_amplitude_is_config_error(tmp_path, capsys, cmd, wrong, named):
     cfg = dict(RUN_CFG, adversary="wrong_state")

@@ -2,9 +2,9 @@
 
 Every production probability is a bilinear form of the window operator,
 evaluated through the Cauchy split of its kernel with one product with
-C = 1/(k - k') for all windows of a call; the dense
-``WindowOperator.matrix`` and ``Povm.elements`` use the direct kernel and
-remain for small-grid checks only.  These tests pin the forms, one window
+C = 1/(k - k') for all windows of a call; the oracle's dense references
+(``oracle.window_matrix``, ``oracle.povm_elements``) use the direct kernel
+and serve small-grid checks only.  These tests pin the forms, one window
 or several per call, to Tr(rho M) and u^H W u from the dense matrices,
 bound the memory of one large-grid distribution, and check that dense
 materialisation past the budget fails before it allocates.
@@ -22,15 +22,14 @@ from hypothesis import strategies as st
 from relbc import attacks, measurement, oracle
 from relbc.protocol import CommitConfig, ProtocolContext
 from relbc.spectra import disjoint_pair, gauss_legendre_grid, make_amplitude, sample
-from relbc.window import (
+from relbc.oracle import (
     DENSE_MAX_N,
     DenseBudgetError,
-    bilinear_forms,
-    build_offset_window,
-    build_window,
-    detect_prob,
+    povm_elements,
+    window_matrix,
     window_spectrum,
 )
+from relbc.window import bilinear_forms, build_offset_window, build_window, detect_prob
 
 AGREE_ABS = 1e-12
 
@@ -85,13 +84,13 @@ def test_forms_match_dense_matrices(ctx, log_t, tau0, wrong_delta, wrong_pos):
     sent = _inputs(ctx, tau0, lo + wrong_pos * (hi - lo), wrong_delta)
     for family in ("support", "state"):
         povm = _family(ctx, family).povm(T)
-        elements = povm.elements
+        elements = tuple(povm_elements(povm))
         for name, s in sent.items():
             dist = measurement.outcome_dist(povm, s).as_array()
             dense = np.array(_dense_probs(elements, s))
             assert np.max(np.abs(dist - dense)) <= AGREE_ABS, (family, name, T)
     w = build_window(ctx.grid, T)
-    matrix = w.matrix
+    matrix = window_matrix(w)
     for s in (sent["honest"], sent["delayed"], sent["wrong_state"]):
         u = s.weighted()
         assert abs(detect_prob(w, s) - float(np.real(np.vdot(u, matrix @ u)))) <= AGREE_ABS
@@ -116,14 +115,14 @@ def test_forms_match_dense_matrices_at_n3072(ctx3072, T):
     sent = _inputs(ctx, 7.5, 11.0, 0.8)
     for family in ("support", "state"):
         povm = _family(ctx, family).povm(T)
-        elements = povm.elements
+        elements = tuple(povm_elements(povm))
         for name, s in sent.items():
             dist = measurement.outcome_dist(povm, s).as_array()
             dense = np.array(_dense_probs(elements, s))
             assert np.max(np.abs(dist - dense)) <= AGREE_ABS, (family, name)
         del elements
     w = build_offset_window(ctx.grid, 0.3 * T - T, 0.3 * T + T)
-    matrix = w.matrix
+    matrix = window_matrix(w)
     for s in (sent["honest"], sent["delayed"], sent["wrong_state"]):
         u = s.weighted()
         assert abs(detect_prob(w, s) - float(np.real(np.vdot(u, matrix @ u)))) <= AGREE_ABS
@@ -161,7 +160,7 @@ def test_multi_window_forms_match_dense_matrices(ctx, log_t, center, order, tau0
     forms = bilinear_forms(windows, a, b)
     assert forms.shape == (5, 2, 4)
     for w, form in zip(windows, forms):
-        dense = a.conj().T @ w.matrix @ b
+        dense = a.conj().T @ window_matrix(w) @ b
         assert np.max(np.abs(form - dense)) <= AGREE_ABS, (w.T, w.center)
     # an empty side (psi_1 restricted to E_2) gives exact zeros in every slot
     lo, hi = ctx.config.amp2.support
@@ -271,12 +270,12 @@ def test_dense_materialisation_fails_fast(big_grid):
     w = build_window(big_grid, 5.0)
     support = measurement.support_povm(big_grid, a1.support, a2.support, 5.0)
     state = measurement.state_povm(s1, s2, 5.0)
-    _fails_without_allocating(lambda: w.matrix, n)
+    _fails_without_allocating(lambda: window_matrix(w), n)
     _fails_without_allocating(lambda: window_spectrum(w), n)
-    _fails_without_allocating(lambda: support.elements, n)
-    _fails_without_allocating(lambda: state.elements, n)
+    _fails_without_allocating(lambda: tuple(povm_elements(support)), n)
+    _fails_without_allocating(lambda: tuple(povm_elements(state)), n)
     for povm in (support, state):
-        _fails_without_allocating(lambda: next(povm.iter_elements()), n)
+        _fails_without_allocating(lambda: next(povm_elements(povm)), n)
     # the forms themselves still work on this grid
     assert 0.0 < detect_prob(w, s1) < 1.0
     d = measurement.outcome_dist(support, s1)

@@ -41,7 +41,7 @@ def test_povm_rejects_unknown_family(pair):
 def test_support_povm_completeness_exact(pair):
     a1, a2, grid, *_ = pair
     povm = support_povm(grid, a1.support, a2.support, 2.0)
-    m1, m2, m_perp = povm.elements
+    m1, m2, m_perp = oracle.povm_elements(povm)
     total = m1 + m2 + m_perp
     assert np.array_equal(total, np.eye(grid.size))
 
@@ -50,7 +50,7 @@ def test_support_povm_completeness_exact(pair):
 def test_support_povm_positive(pair, T):
     a1, a2, grid, *_ = pair
     povm = support_povm(grid, a1.support, a2.support, T)
-    for m in povm.elements:
+    for m in oracle.povm_elements(povm):
         assert np.linalg.eigvalsh(m)[0] >= -1e-9
 
 
@@ -58,6 +58,15 @@ def test_support_povm_rejects_overlap(pair):
     grid = pair[2]
     with pytest.raises(ValueError):
         support_povm(grid, (9.5, 10.5), (10.0, 11.0), 1.0)
+
+
+@pytest.mark.parametrize("bad", [(12.5, 11.5), (11.5, 11.5), (11.5, math.inf),
+                                 (math.nan, 12.5)])
+def test_support_povm_rejects_empty_or_reversed_interval(pair, bad):
+    # a reversed interval gave an all-zero indicator, so M_1 = 0 and p1 read 0
+    grid = pair[2]
+    with pytest.raises(ValueError, match=r"support interval \(.*\) must be finite and non-empty"):
+        support_povm(grid, bad, (9.5, 10.5), 5.0)
 
 
 def test_support_povm_projector_limit(pair):
@@ -112,7 +121,7 @@ def test_state_povm_rejects_nonorthogonal(pair):
 def test_state_povm_perp_positive(pair, T):
     *_, s1, s2 = pair
     povm = state_povm(s1, s2, T)
-    assert np.linalg.eigvalsh(povm.elements[2])[0] >= -1e-9
+    assert np.linalg.eigvalsh(tuple(oracle.povm_elements(povm))[2])[0] >= -1e-9
 
 
 def test_state_povm_detects_delay(pair):
@@ -247,7 +256,7 @@ def test_povm_validity_both_families(pair, T):
 
 def _complex_elements(povm):
     """The same (M_1, M_2, M_perp) in complex arithmetic throughout."""
-    w = povm.window.matrix.astype(complex)
+    w = oracle.window_matrix(povm.window).astype(complex)
     refs = [np.asarray(r, dtype=complex) for r in povm.refs]
     if povm.family == "support":
         m1, m2 = (w * np.outer(r, r) for r in refs)
@@ -260,7 +269,7 @@ def _complex_elements(povm):
 def test_real_povm_has_real_elements(pair, T):
     a1, a2, grid, s1, s2 = pair
     for povm in (support_povm(grid, a1.support, a2.support, T), state_povm(s1, s2, T)):
-        assert all(m.dtype == np.float64 for m in povm.elements), povm.family
+        assert all(m.dtype == np.float64 for m in oracle.povm_elements(povm)), povm.family
 
 
 def test_delayed_or_off_centre_povm_has_complex_elements(pair):
@@ -271,14 +280,14 @@ def test_delayed_or_off_centre_povm_has_complex_elements(pair):
         for povm in (support_povm(grid, a1.support, a2.support, 1.0), state_povm(s1, s2, 1.0))
     ]
     for povm in (delayed, *off_centre):
-        assert all(m.dtype == np.complex128 for m in povm.elements), povm.family
+        assert all(m.dtype == np.complex128 for m in oracle.povm_elements(povm)), povm.family
 
 
 @pytest.mark.parametrize("T", [0.1, 1.0, 10.0])
 def test_real_elements_match_complex_arithmetic(pair, T):
     a1, a2, grid, s1, s2 = pair
     for povm in (support_povm(grid, a1.support, a2.support, T), state_povm(s1, s2, T)):
-        for m, ref in zip(povm.elements, _complex_elements(povm)):
+        for m, ref in zip(oracle.povm_elements(povm), _complex_elements(povm)):
             assert np.max(np.abs(m - ref)) <= 1e-15, povm.family
 
 
@@ -286,7 +295,7 @@ def test_real_elements_give_the_complex_oracle_report(pair):
     a1, a2, grid, s1, s2 = pair
     T = 10.0  # the widest window relbc validate checks
     for povm in (support_povm(grid, a1.support, a2.support, T), state_povm(s1, s2, T)):
-        real, cplx = povm.elements, _complex_elements(povm)
+        real, cplx = tuple(oracle.povm_elements(povm)), _complex_elements(povm)
         got = oracle.povm_validity_bruteforce(povm, real)
         want = oracle.povm_validity_bruteforce(povm, cplx)
         assert got["passed"] and want["passed"]

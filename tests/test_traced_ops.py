@@ -36,7 +36,8 @@ for op, argv in enumerate((["attack", "--config", {str(cfg)!r}], ["validate"])):
     tracer.end_op()
 metrics = spans.layer_metrics(tracer.spans, 2, 0)
 print(json.dumps({{"codes": codes, "names": sorted({{s.name for s in tracer.spans}}),
-                  "povm_bytes": metrics["measurement.povm_bytes"][0]}}))
+                  "povm_bytes": metrics["measurement.povm_bytes"][0],
+                  "build_bytes": metrics["window.build_bytes"][0]}}))
 """
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          timeout=300)
@@ -47,4 +48,7 @@ print(json.dumps({{"codes": codes, "names": sorted({{s.name for s in tracer.span
                  "measurement.support_povm", "measurement.outcome_dists",
                  "window.build_window", "oracle.povm_validity_bruteforce"):
         assert name in res["names"]
+    # the two annotations that read the dense matrices: Povm.elements and
+    # WindowOperator.matrix
     assert res["povm_bytes"] > 0
+    assert res["build_bytes"] > 0
