@@ -23,6 +23,7 @@ from .spectra import (
     GridResolutionError,
     SpectralAmplitude,
     grid_for_amplitudes,
+    json_number,
     make_amplitude,
     sample,
 )
@@ -63,14 +64,7 @@ def _load_config(path: str | None) -> dict:
 _MISSING = object()
 
 
-def _number(value) -> float:
-    """A JSON number as a float; a boolean or a numeric string is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a JSON number, got {value!r}")
-    return float(value)
-
-
-def _require(cfg: dict, key: str, kind=_number, default=_MISSING):
+def _require(cfg: dict, key: str, kind=json_number, default=_MISSING):
     """``kind(cfg[key])``; a missing key takes ``default`` or is an error."""
     if key not in cfg and default is _MISSING:
         raise ConfigError(f"missing config key {key!r}")
@@ -88,11 +82,11 @@ def _array(values) -> list:
 
 
 def _floats(values) -> list[float]:
-    return [_number(v) for v in _array(values)]
+    return [json_number(v) for v in _array(values)]
 
 
 def _positive_number(value) -> float:
-    value = _number(value)
+    value = json_number(value)
     if not 0 < value < math.inf:
         raise ValueError(f"must be positive and finite, got {value!r}")
     return value
@@ -120,7 +114,7 @@ def _shapes(values) -> list[str]:
 
 def _integer(value) -> int:
     """An integral JSON number; a fraction, a boolean or a string is refused."""
-    if not _number(value).is_integer():
+    if not json_number(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -205,7 +199,7 @@ def _protocol_config(cfg: dict, seed: int) -> protocol.CommitConfig:
     shape = _require(cfg, "shape", lambda v: _shapes([v])[0], default="rectangular")
     delta = _require(cfg, "delta", _positive_number)
     amp1, amp2 = (
-        _require(cfg, key, lambda k: make_amplitude(shape, _number(k), delta))
+        _require(cfg, key, lambda k: make_amplitude(shape, json_number(k), delta))
         for key in ("k1", "k2")
     )
     try:
@@ -227,11 +221,6 @@ def _amplitude(obj) -> SpectralAmplitude:
     """A JSON object {"shape", "k_c", "delta"[, "tau0"]} as an amplitude."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {obj!r}")
-    for key in ("k_c", "delta", "tau0"):
-        try:
-            _number(obj.get(key, 0.0))
-        except ValueError as exc:
-            raise ValueError(f"key {key!r}: {exc}") from None
     try:
         return SpectralAmplitude.from_json(obj)
     except KeyError as exc:

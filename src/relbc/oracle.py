@@ -3,7 +3,10 @@
 Everything here recomputes detection probabilities and POVM properties by
 routes that never touch the bilinear-form code in ``window`` or
 ``measurement``: closed forms via a local sine integral, direct time-domain
-quadrature, full eigendecompositions, and exhaustive parity enumeration.
+quadrature, eigendecompositions of full dense POVM elements, and exhaustive
+parity enumeration.  An element is eigendecomposed one diagonal block at a
+time, the blocks being found from its own entries (every one, in both
+triangles), not from the POVM's description.
 
 The dense references the forms are tested against are built here from the
 direct sin((k - k')T) / (pi (k - k')) kernel (``window_matrix``,
@@ -191,10 +194,12 @@ def window_matrix(window, sl: slice = slice(None)) -> np.ndarray:
     Each entry takes only its own two nodes, so a block has the bits of the
     same entries of the full matrix.  Real for a centred window, complex
     (the phase exp(i (k - k') center)) otherwise; T = inf is the identity.
-    Built in two m x m arrays (k - k' and the kernel) and a boolean mask:
-    k - k' is reused for pi (k - k') and then for sqrt(w) sqrt(w)^T, after
-    an off-centre window has taken its phase from it.  Raises
-    DenseBudgetError before allocating past DENSE_MAX_N nodes.
+    Built in two m x m arrays (k - k' and the kernel): k - k' is reused for
+    pi (k - k') and then for sqrt(w) sqrt(w)^T, after an off-centre window
+    has taken its phase from it.  Grid nodes are strictly increasing, so
+    k = k' only on the block's diagonal, which takes the kernel's limit
+    T / pi.  Raises DenseBudgetError before allocating past DENSE_MAX_N
+    nodes.
     """
     k = window.grid.nodes[sl]
     n = k.size
@@ -203,7 +208,6 @@ def window_matrix(window, sl: slice = slice(None)) -> np.ndarray:
     if math.isinf(window.T):
         return np.eye(n)
     dk = np.subtract.outer(k, k)
-    same = dk == 0
     kern = dk * window.T
     np.sin(kern, out=kern)
     if window.center != 0.0:
@@ -215,7 +219,7 @@ def window_matrix(window, sl: slice = slice(None)) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         kern /= np.multiply(math.pi, dk, out=dk)
     # removable singularity where a row meets its own column
-    kern[same] = window.T / math.pi
+    np.fill_diagonal(kern, window.T / math.pi)
     sw = window.grid.sqrt_weights[sl]
     kern *= np.multiply.outer(sw, sw, out=dk)
     if window.center == 0.0:
@@ -307,13 +311,57 @@ def _hermitian_residual(m: np.ndarray) -> float:
     """max|M - M^H| over the 128 x 128 tiles on and below the diagonal.
 
     Each tile is compared with the conjugate transpose of its mirror tile,
-    so a pass allocates a few 128 x 128 arrays whatever n is.
+    so a pass allocates a few 128 x 128 arrays whatever n is.  NaN if any
+    entry is.
     """
     n = m.shape[0]
-    return max(
-        float(np.max(np.abs(m[i:i + 128, j:j + 128] - m[j:j + 128, i:i + 128].conj().T)))
+    return float(np.max([
+        np.max(np.abs(m[i:i + 128, j:j + 128] - m[j:j + 128, i:i + 128].conj().T))
         for i in range(0, n, 128) for j in range(0, i + 1, 128)
-    )
+    ]))
+
+
+def _eigvalsh_by_blocks(m: np.ndarray) -> np.ndarray:
+    """The eigenvalues of the Hermitian m, one diagonal block at a time.
+
+    The index range is cut at every point that no nonzero entry of m
+    crosses, reading every entry in both triangles (a NaN counts as
+    nonzero), so the blocks' eigenvalues are exactly m's.  A 1 x 1 block's
+    eigenvalue is the real part of its diagonal entry, and a larger block
+    goes to eigvalsh as the view m[a:b, a:b].  An m that is one block goes
+    to eigvalsh whole, so its eigenvalues keep their bits and their order;
+    otherwise they come in block order, not sorted.  A block eigvalsh
+    cannot solve (LinAlgError, as non-finite entries can cause) has NaN
+    eigenvalues.
+    """
+    n = m.shape[0]
+    idx = np.arange(n)
+    first, last = idx.copy(), idx.copy()  # each row's first and last nonzero column
+    for i in range(0, n, 128):
+        nz = m[i:i + 128] != 0
+        some = nz.any(axis=1)
+        first[i:i + 128][some] = np.argmax(nz[some], axis=1)
+        last[i:i + 128][some] = n - 1 - np.argmax(nz[some, ::-1], axis=1)
+    # row i's entries couple every index from min(first, i) to max(last, i);
+    # a block ends at each index that no span starting at or before it passes
+    reach = np.zeros(n, dtype=idx.dtype)
+    np.maximum.at(reach, np.minimum(first, idx), np.maximum(last, idx))
+    stops = np.flatnonzero(np.maximum.accumulate(reach) == idx) + 1
+    if stops.size <= 1:
+        return _eigvalsh_or_nan(m)
+    starts = np.concatenate(([0], stops[:-1]))
+    single = stops - starts == 1
+    return np.concatenate([m[starts[single], starts[single]].real] + [
+        _eigvalsh_or_nan(m[a:b, a:b]) for a, b in zip(starts[~single], stops[~single])
+    ])
+
+
+def _eigvalsh_or_nan(m: np.ndarray) -> np.ndarray:
+    """eigvalsh(m), or NaNs where it raises LinAlgError."""
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError:
+        return np.full(m.shape[0], math.nan)
 
 
 def povm_validity_bruteforce(povm, elements=None) -> dict:
@@ -321,16 +369,22 @@ def povm_validity_bruteforce(povm, elements=None) -> dict:
 
     ``elements`` is an iterable of the dense M_1, M_2 and M_perp to check,
     all of one dtype; ``povm_elements(povm)`` by default.  Each element is
-    checked as it arrives: eigvalsh and its max|M - M^H|, which must stay
-    within ``_HERMITIAN_TOL`` (eigvalsh reads only the lower triangle, so
-    its eigenvalues say nothing about an element that is not Hermitian).
-    Real elements take eigvalsh's real symmetric solver.  The element is
-    then folded into the first one's array, which is overwritten with
+    checked as it arrives: its eigenvalues and its max|M - M^H|, which must
+    stay within ``_HERMITIAN_TOL`` (eigvalsh reads only the lower triangle,
+    so its eigenvalues say nothing about an element that is not Hermitian).
+    The eigenvalues come one diagonal block at a time
+    (``_eigvalsh_by_blocks``): a support element splits into its carriers'
+    blocks and 1 x 1 blocks, a state element goes to eigvalsh whole.  A NaN
+    eigenvalue makes the element's and the report's minimum NaN, and a NaN
+    entry their Hermiticity residual, which fails the report.  Real
+    elements take eigvalsh's real symmetric solver.  The element is then
+    folded into the first one's array, which is overwritten with
     (M_1 + M_2) + M_perp, from which the identity is subtracted and whose
     modulus is taken in place.  So the check holds the sum, one element and
-    eigvalsh's copy of it: with a generator that keeps no reference to what
-    it has yielded, three n x n arrays at most.  The elements are taken
-    with ``next()``, not ``zip``, which would keep the previous one alive.
+    eigvalsh's copy of it (of one block, when the element splits): with a
+    generator that keeps no reference to what it has yielded, three n x n
+    arrays at most.  The elements are taken with ``next()``, not ``zip``,
+    which would keep the previous one alive.
     """
     elements = iter(povm_elements(povm) if elements is None else elements)
     report = {"family": povm.family, "T": povm.T, "elements": {}}
@@ -339,15 +393,16 @@ def povm_validity_bruteforce(povm, elements=None) -> dict:
     total = None
     for name in ("m1", "m2", "m_perp"):
         m = next(elements)
-        vals = np.linalg.eigvalsh(m)
+        vals = _eigvalsh_by_blocks(m)
+        lo, hi = float(np.min(vals)), float(np.max(vals))  # NaN if any is
         asym = _hermitian_residual(m)
         report["elements"][name] = {
-            "min_eig": float(vals[0]),
-            "max_eig": float(vals[-1]),
+            "min_eig": lo,
+            "max_eig": hi,
             "hermitian_residual": asym,
         }
-        min_eig = min(min_eig, float(vals[0]))
-        hermitian = max(hermitian, asym)
+        min_eig = float(np.minimum(min_eig, lo))  # NaN stays
+        hermitian = float(np.maximum(hermitian, asym))
         if total is None:
             total = m
         else:

@@ -149,12 +149,24 @@ class SpectralAmplitude:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SpectralAmplitude":
-        return cls(
-            shape=obj["shape"],
-            k_c=float(obj["k_c"]),
-            delta=float(obj["delta"]),
-            tau0=float(obj.get("tau0", 0.0)),
-        )
+        """The amplitude of a ``to_json`` object.  A missing key raises
+        KeyError; k_c, delta and tau0 must be JSON numbers (``json_number``),
+        or ValueError names the key."""
+        shape = obj["shape"]
+        numbers = {"k_c": obj["k_c"], "delta": obj["delta"], "tau0": obj.get("tau0", 0.0)}
+        for key, value in numbers.items():
+            try:
+                numbers[key] = json_number(value)
+            except ValueError as exc:
+                raise ValueError(f"key {key!r}: {exc}") from None
+        return cls(shape=shape, **numbers)
+
+
+def json_number(value) -> float:
+    """A JSON number as a float; a boolean or a numeric string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a JSON number, got {value!r}")
+    return float(value)
 
 
 def make_amplitude(

@@ -5,12 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relbc.measurement import outcome_dist, support_povm, state_povm
 from relbc import oracle
 from relbc.oracle import (
     _HERMITIAN_TOL,
     TimeDomainConvergenceError,
+    _eigvalsh_by_blocks,
     _hermitian_residual,
     _profile_sq,
     detect_prob_flat_closed_form,
@@ -19,7 +22,14 @@ from relbc.oracle import (
     povm_validity_bruteforce,
     sine_integral,
 )
-from relbc.spectra import disjoint_pair, grid_for_amplitudes, make_amplitude, sample
+from relbc.protocol import CommitConfig, ProtocolContext
+from relbc.spectra import (
+    disjoint_pair,
+    gauss_legendre_grid,
+    grid_for_amplitudes,
+    make_amplitude,
+    sample,
+)
 from relbc.window import build_offset_window, build_window, detect_prob
 
 
@@ -317,3 +327,125 @@ def test_oracle_stays_independent_of_the_production_path():
             module = (node.module or "").removeprefix("relbc").lstrip(".")
             own.append((module, [alias.name for alias in node.names]))
     assert own == [("spectra", ["SpectralAmplitude"])], own
+
+
+@st.composite
+def _block_hermitian(draw):
+    """A Hermitian matrix of contiguous diagonal blocks of random sizes, each
+    random, all zero or the identity (zero and identity rows split into
+    1 x 1 blocks), real or complex."""
+    dtype = draw(st.sampled_from([float, complex]))
+    block = st.tuples(st.integers(1, 12), st.sampled_from(["random", "zero", "eye"]))
+    kinds = draw(st.lists(block, min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = np.zeros((sum(size for size, _ in kinds),) * 2, dtype=dtype)
+    a = 0
+    for size, kind in kinds:
+        b = a + size
+        if kind == "eye":
+            m[a:b, a:b] = np.eye(size)
+        elif kind == "random":
+            blk = rng.normal(size=(size, size))
+            if dtype is complex:
+                blk = blk + 1j * rng.normal(size=(size, size))
+            m[a:b, a:b] = blk + blk.conj().T
+        a = b
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=_block_hermitian())
+def test_block_eigenvalues_match_whole_matrix(m):
+    vals = _eigvalsh_by_blocks(m)
+    assert vals.dtype == np.float64
+    whole = np.linalg.eigvalsh(m)
+    assert np.max(np.abs(np.sort(vals) - whole)) <= 1e-13 * np.max(np.abs(m))
+
+
+@pytest.mark.parametrize("entry", [(2, 5), (5, 2)])
+def test_one_nonzero_in_either_triangle_merges_the_blocks_it_spans(monkeypatch, entry):
+    # four 2 x 2 blocks; one entry couples the second and third, in the
+    # upper triangle (which eigvalsh never reads) or the lower one
+    rng = np.random.default_rng(1)
+    m = np.zeros((8, 8))
+    for a in range(0, 8, 2):
+        blk = rng.normal(size=(2, 2))
+        m[a:a + 2, a:a + 2] = blk + blk.T
+    m[entry] = 0.5
+    sent = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sent.append(a) or eigvalsh(a))
+    vals = _eigvalsh_by_blocks(m)
+    assert [(a.shape, np.shares_memory(a, m)) for a in sent] == [((2, 2), True), ((4, 4), True),
+                                                                ((2, 2), True)]
+    assert np.array_equal(vals, np.concatenate([eigvalsh(m[0:2, 0:2]), eigvalsh(m[2:6, 2:6]),
+                                                eigvalsh(m[6:8, 6:8])]))
+
+
+def test_validate_povms_split_support_elements_only(monkeypatch):
+    # the POVMs `relbc validate` audits: support elements reach eigvalsh
+    # one carrier block at a time, state elements whole and uncopied
+    sent = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sent.append(a) or eigvalsh(a))
+    for family in ("support", "state"):
+        ctx = ProtocolContext(CommitConfig(
+            n_channels=1, amp1=make_amplitude("rectangular", 12.0, 1.0),
+            amp2=make_amplitude("rectangular", 10.0, 1.0), t_open=10.0, povm_family=family))
+        for T in (0.1, 1.0, 10.0):
+            povm = ctx.povm(T)
+            assert povm.grid.size == 768
+            elements = list(oracle.povm_elements(povm))
+            sent.clear()
+            assert povm_validity_bruteforce(povm, iter(elements))["passed"]
+            if family == "support":
+                assert sent and all(a.shape[0] <= 256 for a in sent)
+            else:
+                assert len(sent) == 3 and all(a is m for a, m in zip(sent, elements))
+
+
+@pytest.mark.parametrize("case", ["support-real", "support-complex"])
+def test_nan_on_an_isolated_diagonal_fails_the_audit(povm_cases, case):
+    # a 1 x 1 block: its eigenvalue is the NaN itself, never sorted past
+    povm = povm_cases[case]
+    m1, m2, m_perp = oracle.povm_elements(povm)
+    assert not np.any(m1[0]) and not np.any(m1[:, 0])
+    m1[0, 0] = math.nan
+    report = povm_validity_bruteforce(povm, (m1, m2, m_perp))
+    assert not report["passed"]
+    assert math.isnan(report["elements"]["m1"]["min_eig"])
+    assert math.isnan(report["min_eigenvalue"])
+    assert not math.isnan(report["elements"]["m2"]["min_eig"])
+
+
+@pytest.mark.parametrize("case", ["support-real", "support-complex"])
+def test_nan_coupling_two_blocks_fails_the_audit(povm_cases, case):
+    # M_perp's two carrier blocks joined by a NaN at both ends: one block,
+    # which eigvalsh gives NaN eigenvalues or cannot solve
+    povm = povm_cases[case]
+    m1, m2, m_perp = oracle.povm_elements(povm)
+    assert m_perp[0, -1] == 0.0
+    m_perp[0, -1] = m_perp[-1, 0] = math.nan
+    report = povm_validity_bruteforce(povm, (m1, m2, m_perp))
+    assert not report["passed"]
+    assert math.isnan(report["elements"]["m_perp"]["min_eig"])
+    assert math.isnan(report["min_eigenvalue"])
+    # the NaN pair is in a tile past the first of the Hermiticity pass
+    assert math.isnan(report["elements"]["m_perp"]["hermitian_residual"])
+    assert math.isnan(report["hermitian_residual"])
+
+
+def test_block_audit_sees_the_unresolved_support_povm():
+    # README carriers on three unit panels from 9.5 to 12.5, each of two
+    # 256-node sub-panels (1536 nodes): at T = 1000 the support POVM is not
+    # valid, M_perp's least eigenvalue being about -0.0066
+    amp1, amp2 = disjoint_pair(12.0, 10.0, 1.0)
+    edges = np.arange(9.5, 12.75, 0.5)
+    grid = gauss_legendre_grid(list(zip(edges[:-1], edges[1:])), 256)
+    assert grid.size == 1536
+    povm = support_povm(grid, amp1.support, amp2.support, 1000.0)
+    report = povm_validity_bruteforce(povm)
+    assert not report["passed"]
+    assert report["min_eigenvalue"] == pytest.approx(-0.0066, abs=5e-5)
+    whole = min(np.linalg.eigvalsh(m)[0] for m in oracle.povm_elements(povm))
+    assert abs(report["min_eigenvalue"] - whole) <= 1e-12

@@ -93,6 +93,14 @@ def test_amplitude_json_roundtrip():
     assert SpectralAmplitude.from_json(amp.to_json()) == amp
 
 
+@pytest.mark.parametrize("key", ["k_c", "delta", "tau0"])
+@pytest.mark.parametrize("value", [True, "12"])
+def test_amplitude_json_numbers_must_be_json_numbers(key, value):
+    obj = dict(make_amplitude("rectangular", 12.0, 1.0).to_json(), **{key: value})
+    with pytest.raises(ValueError, match=f"key '{key}': expected a JSON number, got {value!r}"):
+        SpectralAmplitude.from_json(obj)
+
+
 def test_sample_rejects_partial_coverage():
     amp = make_amplitude("rectangular", 10.0, 1.0)
     half = gauss_legendre_grid([(9.5, 10.0)], 256)
