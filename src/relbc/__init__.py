@@ -18,7 +18,6 @@ from .spectra import (
     make_amplitude,
     overlap,
     sample,
-    time_profile,
 )
 from .window import (
     WindowOperator,
@@ -28,7 +27,7 @@ from .window import (
     detect_prob,
     detect_probs,
 )
-from .oracle import DenseBudgetError, window_spectrum
+from .oracle import DenseBudgetError, time_profile, window_spectrum
 from .measurement import (
     PERP,
     OutcomeDist,

@@ -74,9 +74,9 @@ def per_channel_flag_probs(
     """
     family = ctx.config.povm_family
     sent = transmitted_state(strategy, claimed_bit, ctx)
-    povms = [ctx.povm(T) for T in times]
+    windows = [ctx.window(T) for T in times]
     flags = []
-    for dist in measurement.outcome_dists(povms, sent):
+    for dist in measurement.outcome_dists(family, ctx.refs, windows, sent):
         p_claimed, p_wrong = (
             (dist.p1, dist.p2) if claimed_bit == 0 else (dist.p2, dist.p1)
         )

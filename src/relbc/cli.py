@@ -391,15 +391,16 @@ def cmd_validate(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_INVARIANT
 
 
-def _run_count(text: str) -> int:
-    """``--runs``: a non-negative integer; anything else is a usage error."""
+def _count(text: str) -> int:
+    """``--runs`` and ``--seed``: a non-negative integer; anything else is a
+    usage error."""
     try:
-        runs = int(text)
+        count = int(text)
     except ValueError:
-        runs = -1
-    if runs < 0:
+        count = -1
+    if count < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return runs
+    return count
 
 
 @functools.cache
@@ -419,12 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
         # so that one argv form can drive every subcommand
         if name != "validate":
             p.add_argument("--config", help="path to a JSON config file")
-        p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+        p.add_argument("--seed", type=_count, default=0, help="master RNG seed")
         p.add_argument("--out", help="output path (default: stdout)")
         if name in ("sweep", "run"):
             p.add_argument("--format", choices=("csv", "json"), default="csv")
         if name == "run":
-            p.add_argument("--runs", type=_run_count, default=1)
+            p.add_argument("--runs", type=_count, default=1)
         if name == "validate":
             p.add_argument("--inject-corruption", action="store_true",
                            help=argparse.SUPPRESS)

@@ -12,8 +12,9 @@ Both resolve the identity exactly: M_perp := I - M_1 - M_2.  The elements
 are never stored: a POVM keeps its window and its two references (support
 masks or reference states), and ``outcome_dist`` evaluates each
 probability as a bilinear form of the window (``window.bilinear_forms``).
-``outcome_dists`` does so for POVMs that differ only in their window, with
-one form for all of their windows.  A mixed input is passed as its n x r
+``outcome_dists`` takes the family, the two references and a list of
+windows instead of POVMs, so one call cannot mix references, and evaluates
+every window in one form.  A mixed input is passed as its n x r
 factor F, rho = F F^H.  The dense elements, for brute-force checks on
 small grids, are built by the oracle one at a time
 (``oracle.povm_elements``), which refuses them past ``oracle.DENSE_MAX_N``
@@ -131,13 +132,13 @@ def _clamp_prob(p: float, label: str) -> float:
     return max(p, 0.0)
 
 
-def _factor(povm: Povm, state_or_factor) -> np.ndarray:
+def _factor(grid: KGrid, state_or_factor) -> np.ndarray:
     """The n x r factor F of the input (r = 1 for a pure state)."""
     if isinstance(state_or_factor, SampledState):
-        if not _same_grid(state_or_factor.grid, povm.grid):
+        if not _same_grid(state_or_factor.grid, grid):
             raise ValueError("state and POVM live on different grids")
         return state_or_factor.weighted()[:, None]
-    n = povm.grid.size
+    n = grid.size
     f = np.asarray(state_or_factor)
     if f.ndim != 2 or f.shape[0] != n:
         raise ValueError("density factor must be an n x r array on the POVM grid")
@@ -149,32 +150,26 @@ def _factor(povm: Povm, state_or_factor) -> np.ndarray:
     return f
 
 
-def outcome_dists(povms, state_or_factor) -> list[OutcomeDist]:
-    """``outcome_dist`` for POVMs that differ only in their window, in one form.
+def outcome_dists(family: str, refs, windows, state_or_factor) -> list[OutcomeDist]:
+    """``outcome_dist`` under the POVMs of one family and one pair of
+    references (``Povm.refs``) at each of ``windows``, in one form.
 
-    The POVMs share one family and one pair of references; each window
-    keeps its own clamps and sum check.
+    Each window keeps its own clamps and sum check.
     """
-    povms = list(povms)
-    if not povms:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown POVM family {family!r}, expected one of {FAMILIES}")
+    windows = list(windows)
+    if not windows:
         return []
-    first = povms[0]
-    for povm in povms[1:]:
-        if povm.family != first.family or not all(
-            r is r0 or np.array_equal(r, r0) for r, r0 in zip(povm.refs, first.refs)
-        ):
-            raise ValueError("POVMs of one call must share family and references")
-    f = _factor(first, state_or_factor)
+    f = _factor(windows[0].grid, state_or_factor)
     tr = float(np.sum(np.abs(f) ** 2))
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"density matrix trace {tr} != 1")
-    windows = [povm.window for povm in povms]
-    if first.family == "support":
-        forms = [bilinear_forms(windows, pf, pf)
-                 for pf in (ind[:, None] * f for ind in first.refs)]
+    if family == "support":
+        forms = [bilinear_forms(windows, pf, pf) for pf in (ind[:, None] * f for ind in refs)]
         probs = [[float(np.real(np.trace(g))) for g in pair] for pair in zip(*forms)]
     else:
-        forms = bilinear_forms(windows, np.column_stack(first.refs), f)
+        forms = bilinear_forms(windows, np.column_stack(refs), f)
         probs = [[float(np.sum(np.abs(row) ** 2)) for row in g] for g in forms]
     dists = []
     for p in probs:
@@ -195,7 +190,7 @@ def outcome_dist(povm: Povm, state_or_factor) -> OutcomeDist:
     no weight on E_i gives exactly 0.0.  p_perp = Tr(rho) - p1 - p2, with
     Tr(rho) = ||F||_F^2 checked to be 1.
     """
-    return outcome_dists([povm], state_or_factor)[0]
+    return outcome_dists(povm.family, povm.refs, [povm.window], state_or_factor)[0]
 
 
 def sample_outcomes(dists, channel_bits, rng: np.random.Generator) -> np.ndarray:

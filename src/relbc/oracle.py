@@ -3,8 +3,9 @@
 Everything here recomputes detection probabilities and POVM properties by
 routes that never touch the bilinear-form code in ``window`` or
 ``measurement``: closed forms via a local sine integral, direct time-domain
-quadrature, eigendecompositions of full dense POVM elements, and exhaustive
-parity enumeration.  An element is eigendecomposed one diagonal block at a
+quadrature of the Fourier time profile (``time_profile``),
+eigendecompositions of full dense POVM elements, and exhaustive parity
+enumeration.  An element is eigendecomposed one diagonal block at a
 time, the blocks being found from its own entries (every one, in both
 triangles), not from the POVM's description.
 
@@ -119,8 +120,15 @@ def _gl(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _profile_sq(amplitude: SpectralAmplitude, taus: np.ndarray, nk: int) -> np.ndarray:
-    """|psi(tau)|^2 by direct Fourier quadrature of the amplitude."""
+def time_profile(amplitude: SpectralAmplitude, taus: np.ndarray, nk: int) -> np.ndarray:
+    """Time-domain wavefunction psi(tau) under the unitary Fourier convention,
+    by direct Fourier quadrature of the amplitude on ``nk`` Gauss-Legendre
+    k-nodes over its support.
+
+    psi(tau) = (1/sqrt(2 pi)) sum_j w_j a(k_j) exp(-i k_j tau), with a
+    normalised on those nodes, so Parseval holds: the tau-integral of
+    |psi|^2 over a wide enough range is 1.
+    """
     lo, hi = amplitude.support
     x, w = _gl(nk)
     k = 0.5 * (hi - lo) * x + 0.5 * (lo + hi)
@@ -132,8 +140,7 @@ def _profile_sq(amplitude: SpectralAmplitude, taus: np.ndarray, nk: int) -> np.n
     phases = np.empty(arg.shape, dtype=complex)
     np.cos(arg, out=phases.real)
     np.sin(arg, out=phases.imag)
-    psi = phases @ (wk * vals) / math.sqrt(2 * math.pi)
-    return np.abs(psi) ** 2
+    return phases @ (wk * vals) / math.sqrt(2 * math.pi)
 
 
 class TimeDomainConvergenceError(ValueError):
@@ -178,7 +185,7 @@ def detect_prob_time_domain(
         half = 0.5 * (edges[1] - edges[0])
         taus = (half * x[None, :] + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
         wt = np.tile(half * w, n_panels)
-        val = float(wt @ _profile_sq(amplitude, taus, nk))
+        val = float(wt @ np.abs(time_profile(amplitude, taus, nk)) ** 2)
         if prev is not None and abs(val - prev) < tol:
             return val
         last = (prev, val)

@@ -40,6 +40,7 @@ class CommitConfig:
 
     def __post_init__(self):
         _check_count("n_channels", self.n_channels, 1)
+        _check_count("seed", self.seed, 0)
         if not 0 <= self.channel_delay < math.inf:
             raise ValueError(
                 f"channel_delay must be finite and non-negative, got {self.channel_delay!r}"
@@ -109,8 +110,9 @@ class ProtocolContext:
         )
         self.psi1: SampledState = sample(config.amp1, self.grid)
         self.psi2: SampledState = sample(config.amp2, self.grid)
-        # window-independent, so built and checked once, by the family's constructor
-        self._refs = (
+        # the family's Povm.refs: window-independent, so built and checked
+        # once, by the family's constructor
+        self.refs = (
             measurement.support_povm(
                 self.grid, config.amp1.support, config.amp2.support, config.t_open
             )
@@ -118,8 +120,8 @@ class ProtocolContext:
             else measurement.state_povm(self.psi1, self.psi2, config.t_open)
         ).refs
 
-    def povm(self, t: float) -> measurement.Povm:
-        """The config family's POVM at window parameter t, on the context's references.
+    def window(self, t: float) -> window.WindowOperator:
+        """The window at parameter t on the context's grid.
 
         The grid is resolved for windows up to t_open only: a finite t past
         it raises ValueError.
@@ -129,9 +131,11 @@ class ProtocolContext:
                 f"window t = {t!r} exceeds t_open = {self.config.t_open!r}, "
                 "the largest window the grid is resolved for"
             )
-        return measurement.Povm(
-            self.config.povm_family, window.build_window(self.grid, t), self._refs
-        )
+        return window.build_window(self.grid, t)
+
+    def povm(self, t: float) -> measurement.Povm:
+        """The config family's POVM at ``window(t)``, on the context's references."""
+        return measurement.Povm(self.config.povm_family, self.window(t), self.refs)
 
     def outcome_dists(
         self, t: float, sent=None
@@ -247,17 +251,6 @@ def guess_success(p: float, n_channels: int) -> float:
     _check_p(p)
     q = p**n_channels
     return q + (1.0 - q) / 2.0
-
-
-def simulate_identification(
-    p: float, n_channels: int, runs: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Monte Carlo frequencies of (all channels fired, parity guessed right)."""
-    _check_p(p)
-    fired = rng.random((runs, n_channels)) < p
-    all_fired = fired.all(axis=1)
-    success = np.where(all_fired, True, rng.random(runs) < 0.5)
-    return float(all_fired.mean()), float(success.mean())
 
 
 def storage_security_curve(ctx: ProtocolContext, times) -> list[tuple[float, float]]:

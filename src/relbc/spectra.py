@@ -415,20 +415,3 @@ def overlap(a: SampledState, b: SampledState) -> complex:
     if not _same_grid(a.grid, b.grid):
         raise ValueError("states live on different grids")
     return complex(np.sum(a.grid.weights * np.conj(a.values) * b.values))
-
-
-def time_profile(state: SampledState, tau_nodes) -> np.ndarray:
-    """Time-domain wavefunction psi(tau) under the unitary Fourier convention.
-
-    psi(tau_j) = (1/sqrt(2*pi)) sum_i w_i v_i exp(-i k_i tau_j), so Parseval
-    holds: the tau-integral of |psi|^2 over a wide enough range is 1.
-    """
-    tau = np.atleast_1d(np.asarray(tau_nodes, dtype=float))
-    coeff = state.grid.weights * state.values
-    # exp(-i k tau) as cos and sin of the real phase -k tau: the same values
-    # as the complex exponential, at about half its cost
-    arg = np.outer(-tau, state.grid.nodes)
-    phases = np.empty(arg.shape, dtype=complex)
-    np.cos(arg, out=phases.real)
-    np.sin(arg, out=phases.imag)
-    return (phases @ coeff) / math.sqrt(2 * math.pi)

@@ -167,7 +167,14 @@ def test_criterion_07_protocol_statistics():
         t_probe = _flat_t_for(p_target)
         p = oracle.detect_prob_flat_closed_form(1.0, t_probe)
         for n in (2, 3, 5):
-            f_all, f_guess = protocol.simulate_identification(p, n, runs, rng)
+            # every channel fires (outcome 1) with probability p; B learns the
+            # parity when all N fire and flips a fair coin otherwise
+            outcomes = measurement.sample_outcomes(
+                [measurement.OutcomeDist(p, 0.0, 1.0 - p)], np.zeros(runs * n, dtype=int), rng
+            )
+            all_fired = (outcomes.reshape(runs, n) == 1).all(axis=1)
+            guessed = all_fired | (rng.random(runs) < 0.5)
+            f_all, f_guess = float(all_fired.mean()), float(guessed.mean())
             for freq, expect in (
                 (f_all, protocol.ident_prob_individual(p, n)),
                 (f_guess, protocol.guess_success(p, n)),

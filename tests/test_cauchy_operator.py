@@ -162,16 +162,16 @@ def test_forms_match_direct_sum_at_n15360(monkeypatch):
         "mixed": measurement.mixed_density([psi1, psi2]),
     }
     times = (10.0, 1e3, 1e4)
-    povms = {
-        "support": [measurement.support_povm(grid, amp1.support, amp2.support, t)
-                    for t in times],
-        "state": [measurement.state_povm(psi1, psi2, t) for t in times],
+    refs = {
+        "support": measurement.support_povm(grid, amp1.support, amp2.support, 0.0).refs,
+        "state": measurement.state_povm(psi1, psi2, 0.0).refs,
     }
     windows = [window.build_window(grid, t) for t in times]
 
     def evaluate():
-        dists = {(family, name): [d.as_array() for d in measurement.outcome_dists(ps, s)]
-                 for family, ps in povms.items() for name, s in sent.items()}
+        dists = {(family, name): [d.as_array()
+                                  for d in measurement.outcome_dists(family, r, windows, s)]
+                 for family, r in refs.items() for name, s in sent.items()}
         return dists, window.detect_probs(windows, psi1)
 
     dists, probs = evaluate()

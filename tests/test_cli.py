@@ -279,6 +279,11 @@ def test_exit_codes(tmp_path, capsys):
     assert main([]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE
     assert main(["run", "--config", _write(tmp_path, RUN_CFG), "--runs", "-2"]) == EXIT_USAGE
+    # a seed is a non-negative integer on every subcommand
+    assert main(["run", "--config", _write(tmp_path, RUN_CFG), "--seed", "-1"]) == EXIT_USAGE
+    assert main(["attack", "--config", _write(tmp_path, RUN_CFG), "--seed", "-1"]) == EXIT_USAGE
+    assert main(["validate", "--seed", "-5"]) == EXIT_USAGE
+    assert main(["sweep", "--config", _write(tmp_path, SWEEP_CFG), "--seed", "1.5"]) == EXIT_USAGE
     # options a subcommand does not read are refused, not ignored
     assert main(["attack", "--config", _write(tmp_path, RUN_CFG), "--format", "json"]) == EXIT_USAGE
     assert main(["validate", "--config", _write(tmp_path, RUN_CFG)]) == EXIT_USAGE

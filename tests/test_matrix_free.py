@@ -167,20 +167,22 @@ def test_multi_window_forms_match_dense_matrices(ctx, log_t, center, order, tau0
     empty = (((grid.nodes > lo) & (grid.nodes < hi)) * ctx.psi1.weighted())[:, None]
     assert not np.any(bilinear_forms(windows, empty, b))
     assert not np.any(bilinear_forms(windows, a, empty))
-    support_ctx = _family(ctx, "support")
-    support = [support_ctx.povm(w.T) for w in windows if w.center == 0.0]
-    assert all(d.p2 == 0.0 for d in measurement.outcome_dists(support, ctx.psi1))
-    assert all(d.p1 == 0.0 for d in measurement.outcome_dists(support, ctx.psi2))
+    support = _family(ctx, "support").refs
+    centred = [w for w in windows if w.center == 0.0]
+    assert all(d.p2 == 0.0 for d in measurement.outcome_dists("support", support, centred, ctx.psi1))
+    assert all(d.p1 == 0.0 for d in measurement.outcome_dists("support", support, centred, ctx.psi2))
 
 
 def test_multi_window_calls_reject_mixed_inputs(ctx, big_grid):
     with pytest.raises(ValueError, match="different grids"):
         bilinear_forms([build_window(ctx.grid, 1.0), build_window(big_grid, 1.0)],
                        ctx.psi1.weighted()[:, None], ctx.psi1.weighted()[:, None])
-    with pytest.raises(ValueError, match="family and references"):
-        measurement.outcome_dists([ctx.povm(1.0), _family(ctx, "support").povm(1.0)],
-                                  ctx.psi1)
-    assert measurement.outcome_dists([], ctx.psi1) == []
+    with pytest.raises(ValueError, match="different grids"):
+        measurement.outcome_dists("state", ctx.refs, [build_window(ctx.grid, 1.0),
+                                                      build_window(big_grid, 1.0)], ctx.psi1)
+    with pytest.raises(ValueError, match="unknown POVM family 'suport'"):
+        measurement.outcome_dists("suport", ctx.refs, [build_window(ctx.grid, 1.0)], ctx.psi1)
+    assert measurement.outcome_dists("state", ctx.refs, [], ctx.psi1) == []
     assert bilinear_forms([], ctx.psi1.weighted()[:, None], ctx.psi2.weighted()[:, None]).shape == (0, 1, 1)
 
 
@@ -229,8 +231,8 @@ def test_multi_window_mixed_distribution_memory_at_n3072(ctx3072):
     mixed = measurement.mixed_density([ctx3072.psi1, ctx3072.psi2])
     tracemalloc.start()
     try:
-        povms = [ctx3072.povm(T) for T in (1e-3, 1.0, 10.0, 1e2, 1e3, 2e3)]
-        dists = measurement.outcome_dists(povms, mixed)
+        windows = [ctx3072.window(T) for T in (1e-3, 1.0, 10.0, 1e2, 1e3, 2e3)]
+        dists = measurement.outcome_dists("state", ctx3072.refs, windows, mixed)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

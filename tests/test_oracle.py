@@ -15,12 +15,12 @@ from relbc.oracle import (
     TimeDomainConvergenceError,
     _eigvalsh_by_blocks,
     _hermitian_residual,
-    _profile_sq,
     detect_prob_flat_closed_form,
     detect_prob_time_domain,
     parity_exhaustive,
     povm_validity_bruteforce,
     sine_integral,
+    time_profile,
 )
 from relbc.protocol import CommitConfig, ProtocolContext
 from relbc.spectra import (
@@ -119,18 +119,18 @@ def test_time_domain_delay_with_recentred_window():
 
 
 def _fake_profile(calls):
-    """A stand-in for _profile_sq that records its k-node counts and never
+    """A stand-in for time_profile that records its k-node counts and never
     converges: call c gives |psi|^2 = c at every tau."""
     def profile(amplitude, taus, nk):
         calls.append(nk)
-        return np.full(taus.size, float(len(calls)))
+        return np.full(taus.size, math.sqrt(len(calls)))
     return profile
 
 
 @pytest.mark.parametrize("tau0, first_nk", [(0.0, 128), (2e4, 10081)])
 def test_time_domain_unconverged_raises_with_its_parameters(monkeypatch, tau0, first_nk):
     calls = []
-    monkeypatch.setattr(oracle, "_profile_sq", _fake_profile(calls))
+    monkeypatch.setattr(oracle, "time_profile", _fake_profile(calls))
     amp = make_amplitude("raised-cosine", 10.0, 1.0).delayed(tau0)
     with pytest.raises(TimeDomainConvergenceError) as info:
         detect_prob_time_domain(amp, 1.0, tol=1e-9)
@@ -266,8 +266,45 @@ def test_profile_phases_match_complex_exponential(shape):
     vals = amp(k)
     vals = vals / math.sqrt(float(wk @ np.abs(vals) ** 2))
     # the cos/sin of the real phase gives exactly the complex exponential
-    ref = np.abs(np.exp(-1j * np.outer(taus, k)) @ (wk * vals) / math.sqrt(2 * math.pi)) ** 2
-    assert np.array_equal(_profile_sq(amp, taus, 256), ref)
+    ref = np.exp(-1j * np.outer(taus, k)) @ (wk * vals) / math.sqrt(2 * math.pi)
+    assert np.array_equal(time_profile(amp, taus, 256), ref)
+
+
+def test_time_profile_rectangular_envelope():
+    delta = 1.0
+    amp = make_amplitude("rectangular", 10.0, delta)
+    taus = np.array([0.0, 1.0, 3.0, 2 * math.pi])
+    got = np.abs(time_profile(amp, taus, 256)) ** 2
+    x = delta * taus / 2
+    expected = (delta / (2 * math.pi)) * np.where(x == 0, 1.0, np.sin(x) / np.where(x == 0, 1.0, x)) ** 2
+    assert np.allclose(got, expected, atol=1e-12)
+
+
+def test_time_profile_shift_theorem():
+    amp0 = make_amplitude("raised-cosine", 10.0, 1.0)
+    amp2 = make_amplitude("raised-cosine", 10.0, 1.0, tau0=2.0)
+    taus = np.linspace(-5, 5, 41)
+    p0 = np.abs(time_profile(amp0, taus, 256)) ** 2
+    p2 = np.abs(time_profile(amp2, taus + 2.0, 256)) ** 2
+    assert np.allclose(p0, p2, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", ["rectangular", "truncated-gaussian", "raised-cosine"])
+def test_time_profile_parseval(shape):
+    # |psi|^2 integrated over (-200, 200) on 800 16-node panels
+    amp = make_amplitude(shape, 10.0, 1.0)
+    edges = np.linspace(-200.0, 200.0, 801)
+    x, w = np.polynomial.legendre.leggauss(16)
+    half = 0.5 * (edges[1] - edges[0])
+    taus = (half * x[None, :] + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
+    total = np.tile(half * w, 800) @ np.abs(time_profile(amp, taus, 256)) ** 2
+    if shape == "rectangular":
+        # the flat band's 1/tau^2 tails leave 3e-3 of its energy outside the
+        # range; inside, the closed form holds to rounding
+        assert abs(total - detect_prob_flat_closed_form(1.0, 200.0)) < 1e-12
+    else:
+        # at least 99.9 % of the energy lies inside
+        assert abs(total - 1.0) < 1e-3
 
 
 def test_parity_exhaustive_single_channel():

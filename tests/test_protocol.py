@@ -22,7 +22,6 @@ from relbc.protocol import (
     ident_prob_individual,
     open_and_verify,
     run_many,
-    simulate_identification,
     storage_security_curve,
 )
 from relbc.spectra import disjoint_pair
@@ -51,6 +50,18 @@ def test_config_rejects_overlapping_carriers():
     with pytest.raises(ValueError, match="channel"):
         CommitConfig(n_channels=0, amp1=amp1, amp2=amp2, t_open=10.0)
     del bad
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None])
+def test_config_rejects_seeds_that_are_not_counts(seed):
+    # numpy would refuse these only once run_many draws, a float with a
+    # bare TypeError; the config names the seed when it is built
+    amp1, amp2 = disjoint_pair(12.0, 10.0, 1.0)
+    message = f"seed must be an integer >= 0, got {seed!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CommitConfig(n_channels=2, amp1=amp1, amp2=amp2, t_open=10.0, seed=seed)
+    assert CommitConfig(n_channels=2, amp1=amp1, amp2=amp2, t_open=10.0,
+                        seed=np.int64(3)).seed == 3
 
 
 @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, True, 0, -1, "3"])
@@ -248,19 +259,6 @@ def test_collective_dominates_individual():
             assert ident_prob_collective(p, n) >= ident_prob_individual(p, n)
 
 
-def test_simulate_identification_matches_formulas():
-    rng = np.random.default_rng(11)
-    runs = 200_000
-    for p, n in ((0.3, 3), (0.5, 4), (0.9, 2)):
-        f_all, f_guess = simulate_identification(p, n, runs, rng)
-        for freq, expect in (
-            (f_all, ident_prob_individual(p, n)),
-            (f_guess, guess_success(p, n)),
-        ):
-            sigma = math.sqrt(expect * (1 - expect) / runs)
-            assert abs(freq - expect) < 4 * sigma + 1e-12
-
-
 def test_storage_security_curve(config, ctx):
     times = np.linspace(0.0, config.t_open, 12)
     curve = storage_security_curve(ctx, times)
@@ -287,3 +285,29 @@ def test_context_povms_share_their_references(config, family):
         fresh = measurement.state_povm(ctx.psi1, ctx.psi2, 5.0)
     sent = measurement.mixed_density([ctx.psi1, ctx.psi2])
     assert measurement.outcome_dist(later, sent) == measurement.outcome_dist(fresh, sent)
+
+
+def test_draws_come_from_three_places_only():
+    # One sampling path: the commit draw, the outcome draw and the Monte Carlo
+    # rate's committed bit are the only calls of a Generator draw method (or
+    # of numpy's legacy global ones) in the package.
+    import ast
+    from pathlib import Path
+
+    import relbc
+
+    draws = {name for name in dir(np.random.Generator) if not name.startswith("_")}
+    draws -= {"bit_generator", "spawn"}
+    found = []
+    for path in sorted(Path(relbc.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            found += [(path.stem, fn.name, node.func.attr) for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in draws]
+    assert sorted(found) == [
+        ("attacks", "monte_carlo_detection_rate", "integers"),
+        ("measurement", "sample_outcomes", "random"),
+        ("protocol", "commit", "integers"),
+    ], found

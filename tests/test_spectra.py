@@ -14,7 +14,6 @@ from relbc.spectra import (
     make_amplitude,
     overlap,
     sample,
-    time_profile,
 )
 from relbc.window import build_window, detect_prob
 
@@ -168,53 +167,6 @@ def test_cauchy_schwarz(pair):
     b = make_amplitude(pair[1], 10.2, 1.0)
     grid = gauss_legendre_grid([(9.5, 9.7), (9.7, 10.5), (10.5, 10.7)], 512)
     assert abs(overlap(sample(a, grid), sample(b, grid))) <= 1.0 + 1e-12
-
-
-def test_time_profile_rectangular_envelope():
-    delta, k_c = 1.0, 10.0
-    amp = make_amplitude("rectangular", k_c, delta)
-    grid = grid_for_amplitudes([amp])
-    state = sample(amp, grid)
-    taus = np.array([0.0, 1.0, 3.0, 2 * math.pi])
-    got = np.abs(time_profile(state, taus)) ** 2
-    x = delta * taus / 2
-    expected = (delta / (2 * math.pi)) * np.where(x == 0, 1.0, np.sin(x) / np.where(x == 0, 1.0, x)) ** 2
-    assert np.allclose(got, expected, atol=1e-12)
-
-
-@pytest.mark.parametrize("shape", SHAPES)
-def test_time_profile_parseval(shape):
-    amp = make_amplitude(shape, 10.0, 1.0)
-    # tau range covering >= 99.9% of the energy; the rectangular profile has
-    # 1/tau^2 tails and needs a much wider window (and a denser k-grid to
-    # push the discrete-spectrum revival time past the window edge)
-    if shape == "rectangular":
-        span, n_nodes, n_panels = 2000.0, 2048, 8000
-    else:
-        span, n_nodes, n_panels = 200.0, 256, 800
-    grid = gauss_legendre_grid([amp.support], n_nodes)
-    state = sample(amp, grid)
-    edges = np.linspace(-span, span, n_panels + 1)
-    x, w = np.polynomial.legendre.leggauss(16)
-    half = 0.5 * (edges[1] - edges[0])
-    taus = (half * x[None, :] + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
-    wt = np.tile(half * w, len(edges) - 1)
-    # evaluate in chunks: the full (n_tau, n_nodes) phase matrix is huge
-    total = sum(
-        wt[i:i + 8192] @ np.abs(time_profile(state, taus[i:i + 8192])) ** 2
-        for i in range(0, len(taus), 8192)
-    )
-    assert abs(total - 1.0) < 1e-3
-
-
-def test_time_profile_shift_theorem():
-    amp0 = make_amplitude("raised-cosine", 10.0, 1.0)
-    amp2 = make_amplitude("raised-cosine", 10.0, 1.0, tau0=2.0)
-    grid = grid_for_amplitudes([amp0])
-    taus = np.linspace(-5, 5, 41)
-    p0 = np.abs(time_profile(sample(amp0, grid), taus)) ** 2
-    p2 = np.abs(time_profile(sample(amp2, grid), taus + 2.0)) ** 2
-    assert np.allclose(p0, p2, atol=1e-12)
 
 
 @pytest.mark.parametrize(
