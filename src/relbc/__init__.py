@@ -22,7 +22,6 @@ from .spectra import (
 from .window import (
     WindowOperator,
     bilinear_forms,
-    build_offset_window,
     build_window,
     detect_prob,
     detect_probs,

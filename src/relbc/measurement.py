@@ -52,9 +52,6 @@ class OutcomeDist:
         if abs(self.p1 + self.p2 + self.p_perp - 1.0) > 1e-8:
             raise ValueError("outcome probabilities must sum to 1")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p1, self.p2, self.p_perp])
-
 
 @dataclass(frozen=True)
 class Povm:

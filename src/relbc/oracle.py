@@ -105,13 +105,19 @@ def detect_prob_flat_closed_form(delta: float, T: float) -> float:
     """Detection probability of a flat spectrum: (2/pi)(Si(x) - 2 sin^2(x/2)/x).
 
     x = delta * T.  Limits: x -> 0 gives 0 (linearly, x/pi); x -> inf gives 1
-    with a cos(x)/x tail.
+    with a cos(x)/x tail, and x = inf gives the limit 1.0.  A NaN, or
+    x = inf * 0, raises ValueError.
     """
-    if delta < 0 or T < 0:
-        raise ValueError("delta and T must be non-negative")
     x = delta * T
+    if not (delta >= 0 and T >= 0) or math.isnan(x):  # NaN fails the comparisons
+        raise ValueError(
+            f"delta and T must be non-negative, with a product that is a number: "
+            f"delta={delta!r}, T={T!r}"
+        )
     if x == 0.0:
         return 0.0
+    if math.isinf(x):
+        return 1.0
     return (2 / math.pi) * (sine_integral(x) - 2 * math.sin(x / 2) ** 2 / x)
 
 
@@ -167,10 +173,14 @@ def detect_prob_time_domain(
     ``tol`` absolute, and the k-nodes of the Fourier quadrature double with
     them up to ``_MAX_NK`` (never below their starting count).  Raises
     TimeDomainConvergenceError after ``_REFINEMENTS`` evaluations without
-    agreement.  Never builds the window kernel.
+    agreement.  Never builds the window kernel.  A NaN, T < 0, T = inf or
+    an infinite centre raises ValueError.
     """
-    if T < 0:
-        raise ValueError("window half-width must be non-negative")
+    if not (0 <= T < math.inf and math.isfinite(center)) or math.isnan(tol):
+        raise ValueError(
+            f"time-domain quadrature needs a finite T >= 0, a finite center and a "
+            f"tol that is a number: T={T!r}, center={center!r}, tol={tol!r}"
+        )
     if T == 0.0:
         return 0.0
     delta = amplitude.delta
@@ -199,14 +209,12 @@ def window_matrix(window, sl: slice = slice(None)) -> np.ndarray:
     """The dense window's diagonal block on the nodes ``sl`` (all n by default).
 
     Each entry takes only its own two nodes, so a block has the bits of the
-    same entries of the full matrix.  Real for a centred window, complex
-    (the phase exp(i (k - k') center)) otherwise; T = inf is the identity.
-    Built in two m x m arrays (k - k' and the kernel): k - k' is reused for
-    pi (k - k') and then for sqrt(w) sqrt(w)^T, after an off-centre window
-    has taken its phase from it.  Grid nodes are strictly increasing, so
-    k = k' only on the block's diagonal, which takes the kernel's limit
-    T / pi.  Raises DenseBudgetError before allocating past DENSE_MAX_N
-    nodes.
+    same entries of the full matrix.  Real, since every window is centred
+    on 0; T = inf is the identity.  Built in two m x m arrays (k - k' and
+    the kernel): k - k' is reused for pi (k - k') and then for
+    sqrt(w) sqrt(w)^T.  Grid nodes are strictly increasing, so k = k' only
+    on the block's diagonal, which takes the kernel's limit T / pi.  Raises
+    DenseBudgetError before allocating past DENSE_MAX_N nodes.
     """
     k = window.grid.nodes[sl]
     n = k.size
@@ -217,22 +225,13 @@ def window_matrix(window, sl: slice = slice(None)) -> np.ndarray:
     dk = np.subtract.outer(k, k)
     kern = dk * window.T
     np.sin(kern, out=kern)
-    if window.center != 0.0:
-        # exp(i (k - k') center) as the cos and sin of its real phase
-        phase = np.empty(dk.shape, dtype=complex)
-        np.multiply(dk, window.center, out=phase.imag)
-        np.cos(phase.imag, out=phase.real)
-        np.sin(phase.imag, out=phase.imag)
     with np.errstate(divide="ignore", invalid="ignore"):
         kern /= np.multiply(math.pi, dk, out=dk)
     # removable singularity where a row meets its own column
     np.fill_diagonal(kern, window.T / math.pi)
     sw = window.grid.sqrt_weights[sl]
     kern *= np.multiply.outer(sw, sw, out=dk)
-    if window.center == 0.0:
-        return kern
-    phase *= kern
-    return phase
+    return kern
 
 
 def window_spectrum(window) -> np.ndarray:
@@ -250,9 +249,9 @@ def povm_elements(povm):
     """Yield a POVM's dense M_1, M_2 and M_perp one at a time (small grids only).
 
     Each element is built in a call, so no reference to it is kept once it
-    is yielded.  All three share one dtype: float64 for a real POVM (a
-    centred window and real references, as for undelayed carriers),
-    complex otherwise.  Raises DenseBudgetError past DENSE_MAX_N nodes,
+    is yielded.  All three share one dtype: float64 for real references
+    (as for undelayed carriers), complex for a delayed reference, since
+    the window is real.  Raises DenseBudgetError past DENSE_MAX_N nodes,
     before allocating.  Support family: M_i is W's block on its indicator's
     node range, scaled by the indicator on its rows and then its columns,
     and zero elsewhere; M_perp is I less each block; no full W is built.
@@ -271,9 +270,9 @@ def povm_elements(povm):
         yield _support_element(povm.window, refs, perp=True)
         return
     w = window_matrix(povm.window)
-    if np.isrealobj(w) and not any(np.any(np.imag(r)) for r in refs):
+    if not any(np.any(np.imag(r)) for r in refs):
         refs = tuple(np.real(r) for r in refs)
-    elif np.isrealobj(w) and np.iscomplexobj(refs[0]):
+    else:
         w = w.astype(complex)  # once, not once per reference
     b1, b2 = (w @ ref for ref in refs)
     del w

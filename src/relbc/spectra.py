@@ -33,6 +33,12 @@ _GAUSS_SUPPORT_SIGMAS = 3.0
 # higher-order rule (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).
 _RULE = 256
 
+# Largest gap between two supports, relative to max(|k|, 1), that
+# grid_for_amplitudes treats as touching (no gap panel).  The 256 nodes of a
+# gap panel collide at widths of 1e-13 k to 1e-12 k and are distinct at
+# 1e-11 k.
+_TOUCH_GAP = 1e-10
+
 # Largest grid grid_for_amplitudes builds (64 MiB of nodes and weights).
 # The far field of a window form grows as (24 n / 256)^2 kernel entries: one
 # detection probability took 4.3 s at 3.0e5 nodes and 18.6 s at 6.0e5 nodes
@@ -139,19 +145,12 @@ class SpectralAmplitude:
             return base.astype(complex)
         return base * np.exp(1j * self.tau0 * k)
 
-    def to_json(self) -> dict:
-        return {
-            "shape": self.shape,
-            "k_c": self.k_c,
-            "delta": self.delta,
-            "tau0": self.tau0,
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "SpectralAmplitude":
-        """The amplitude of a ``to_json`` object.  A missing key raises
-        KeyError; k_c, delta and tau0 must be JSON numbers (``json_number``),
-        or ValueError names the key."""
+        """The amplitude of a JSON object {"shape", "k_c", "delta", "tau0"},
+        tau0 optional (default 0).  A missing key raises KeyError; k_c,
+        delta and tau0 must be JSON numbers (``json_number``), or ValueError
+        names the key."""
         shape = obj["shape"]
         numbers = {"k_c": obj["k_c"], "delta": obj["delta"], "tau0": obj.get("tau0", 0.0)}
         for key, value in numbers.items():
@@ -296,12 +295,14 @@ def _subpanels(width: float, delta: float, T: float) -> int:
 def grid_for_amplitudes(amplitudes, T: float = 0.0) -> KGrid:
     """Panelled grid covering every amplitude's support plus the gaps between.
 
-    Panels align with support edges.  Each panel of width w is cut into m
-    equal sub-panels of one 256-node rule, m = ceil(max(64 pi w / delta_min,
-    w T / 2) / 256), so the node spacing stays <= delta_min/64 and the
-    sinc kernel of the window half-width T stays resolved; m depends on
-    the amplitudes and T only through w T and w / delta_min.  Raises
-    GridBudgetError, before allocating, past MAX_GRID_NODES nodes.
+    Panels align with support edges, except that a gap of at most
+    ``_TOUCH_GAP`` max(|k|, 1) counts as touching: the supports share an
+    edge.  Each panel of width w is cut into m equal sub-panels of one
+    256-node rule, m = ceil(max(64 pi w / delta_min, w T / 2) / 256), so
+    the node spacing stays <= delta_min/64 and the sinc kernel of the
+    window half-width T stays resolved; m depends on the amplitudes and T
+    only through w T and w / delta_min.  Raises GridBudgetError, before
+    allocating, past MAX_GRID_NODES nodes.
 
     The grid depends on the panel edges and the counts m alone, so one
     read-only grid per layout is shared: a ``functools.lru_cache`` keeps
@@ -316,10 +317,14 @@ def grid_for_amplitudes(amplitudes, T: float = 0.0) -> KGrid:
     for (lo, hi), nxt in zip(supports, supports[1:] + [None]):
         if edges[-1] < hi:
             edges.append(hi)
-        if nxt is not None and nxt[0] > hi:
+        if nxt is None:
+            continue
+        if nxt[0] < hi:
+            raise ValueError(f"amplitude supports must not overlap: ({lo!r}, {hi!r}) and {nxt!r}")
+        # a gap within rounding of hi is touching: no gap panel, and the
+        # next support's panel starts at hi
+        if nxt[0] - hi > _TOUCH_GAP * max(abs(hi), 1.0):
             edges.append(nxt[0])
-        elif nxt is not None and nxt[0] < hi:
-            raise ValueError("amplitude supports must not overlap")
     panels = list(zip(edges[:-1], edges[1:]))
     counts = tuple(_subpanels(b - a, delta_min, T) for a, b in panels)
     n = _RULE * sum(counts)

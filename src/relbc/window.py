@@ -5,10 +5,12 @@ which 0 <= W_T <= I and W_T -> I as T -> infinity.  Its quadratic form on a
 normalized state is the detection probability inside the window (-T, T):
 the fraction of the wavepacket's energy the apparatus has causal access to.
 
-The operator is held as (grid, T, center) and never stored as a matrix.
-Every probability is a bilinear form A^H W B over the sub-panels that hold
-nonzero rows of A and of B, and ``bilinear_forms`` evaluates it for every
-window of a call on one grid at once.  The form splits the kernel as
+The operator is held as (grid, T) and never stored as a matrix.  Every
+window is centred on 0: a time shift exists only as a sender's spectral
+phase exp(i k tau0) (``SpectralAmplitude.delayed``).  Every probability
+is a bilinear form A^H W B over the sub-panels that hold nonzero rows of
+A and of B, and ``bilinear_forms`` evaluates it for every window of a
+call on one grid at once.  The form splits the kernel as
 sin((k - k')T) = sin(kT) cos(k'T) - cos(kT) sin(k'T), so it takes O(n)
 sines and cosines per window and then one product with the T-independent
 Cauchy matrix C = 1/(k - k') for all windows of the call.  C is applied
@@ -64,18 +66,19 @@ _FAR_GAP = 1.0 - 1e-9
 
 @dataclass(frozen=True)
 class WindowOperator:
-    """Window (center - T, center + T) in the weighted (sqrt(w)-scaled) basis."""
+    """Window (-T, T) in the weighted (sqrt(w)-scaled) basis."""
 
     grid: KGrid
     T: float
-    center: float = 0.0
+
+    # a class constant, not a field: every window is centred on 0, and
+    # only the benchmark's span annotations (``bench/spans.py``) read it
+    center = 0.0
 
     def __post_init__(self):
         # written so that NaN fails; T = inf is the identity
         if not self.T >= 0:
             raise ValueError(f"window half-width must be non-negative, got {self.T!r}")
-        if not math.isfinite(self.center):
-            raise ValueError(f"window centre must be finite, got {self.center!r}")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -90,19 +93,6 @@ def build_window(grid: KGrid, T: float) -> WindowOperator:
     return WindowOperator(grid=grid, T=T)
 
 
-def build_offset_window(grid: KGrid, tau_a: float, tau_b: float) -> WindowOperator:
-    """Window over (tau_a, tau_b); needed when a packet is not centered at 0.
-
-    The kernel picks up the phase exp(i (k - k') (tau_a + tau_b)/2) relative
-    to the symmetric window of half-width (tau_b - tau_a)/2.
-    """
-    if tau_b < tau_a:
-        raise ValueError("window endpoints must be ordered")
-    return WindowOperator(
-        grid=grid, T=0.5 * (tau_b - tau_a), center=0.5 * (tau_a + tau_b)
-    )
-
-
 def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A^H W_j B for windows W_j on one grid; returns (m, r_a, r_b).
 
@@ -113,9 +103,8 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
         A^H W B = [(sA)^H C (cB) - (cA)^H C (sB)] / pi + (T / pi) sum_i A_i^* B_i,
 
-    where A and B are scaled by sqrt(w) (and, off centre, by
-    exp(-i (k - k_ref) center)), s and c are sin(phi) and cos(phi) on their
-    rows, and C = 1/(k - k') with a zero diagonal.  The scaling, the
+    where A and B are scaled by sqrt(w), s and c are sin(phi) and cos(phi)
+    on their rows, and C = 1/(k - k') with a zero diagonal.  The scaling, the
     (rows x windows) sines and cosines and the diagonal sum are taken once
     per call; C, which does not depend on T, is applied once to the stacked
     [cB, sB] of every finite nonzero window (``_cauchy``).
@@ -146,7 +135,6 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rows = (rp[:, None] * r + np.arange(r)).ravel()
     cols = (cp[:, None] * r + np.arange(r)).ravel()
     ts = np.array([windows[j].T for j in finite])
-    centers = np.array([windows[j].center for j in finite])
     x = grid.centred_nodes
 
     def phases(idx):
@@ -156,7 +144,7 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sin_r, cos_r = phases(rows)
     sin_c, cos_c = (sin_r, cos_r) if np.array_equal(rp, cp) else phases(cols)
     sw = grid.sqrt_weights[:, None]
-    b_t = _recentred(b[cols] * sw[cols], x[cols], centers)
+    b_t = (b[cols] * sw[cols])[:, None, :]
     # [c B, s B] of every window as one real (n_c, 4 r_b m) right-hand side
     cs_b = np.empty((cols.size, ts.size, 2, b.shape[1]), dtype=complex)
     cs_b[:, :, 0] = cos_c * b_t
@@ -164,20 +152,13 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     cs_b = cs_b.reshape(cols.size, -1).view(np.float64)
     g = _cauchy(grid, rp, cp, cs_b).view(np.complex128).reshape(rows.size, ts.size, 2, -1)
     g = sin_r * g[:, :, 0] - cos_r * g[:, :, 1]
-    a_t = _recentred(a[rows] * sw[rows], x[rows], centers).conj()
+    a_t = (a[rows] * sw[rows])[:, None, :].conj()
     forms = a_t.transpose(1, 2, 0) @ g.transpose(1, 0, 2)
     # where a row meets its own column (k = k') C is zero, and the
     # removable singularity is the (T / pi) sum term
     diag = a_c @ (b_c * grid.weights[common, None])
     out[finite] = (forms + ts[:, None, None] * diag) / math.pi
     return out
-
-
-def _recentred(f: np.ndarray, x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """f exp(-i x c) for each window centre c, as (rows, windows, r)."""
-    if not np.any(centers):
-        return f[:, None, :]
-    return np.exp(-1j * np.multiply.outer(x, centers))[..., None] * f[:, None, :]
 
 
 @lru_cache(maxsize=8)

@@ -7,7 +7,7 @@ line for any failing criterion anyway).
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -232,10 +232,10 @@ def test_criterion_09_attack_detection(long_run):
     povm_inf = measurement.support_povm(
         ctx.grid, config.amp1.support, config.amp2.support, math.inf
     )
-    honest = measurement.outcome_dist(povm_inf, ctx.psi1).as_array()
-    delayed = measurement.outcome_dist(
+    honest = np.array(astuple(measurement.outcome_dist(povm_inf, ctx.psi1)))
+    delayed = np.array(astuple(measurement.outcome_dist(
         povm_inf, sample(config.amp1.delayed(tau0), ctx.grid)
-    ).as_array()
+    )))
     contrast = float(np.max(np.abs(honest - delayed)))
     blind_ok = contrast < 1e-10
     assert _verdict(

@@ -12,6 +12,7 @@ closed form at T*delta = 2.5e5, and the memory of one operator step.
 
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -113,9 +114,9 @@ def test_forms_match_dense_on_uneven_sub_panels(rule, panels):
     b[-n // 4:] = 0.0
     a, b = a / np.linalg.norm(a, axis=0), b / np.linalg.norm(b, axis=0)
     windows = [window.build_window(grid, 0.5), window.build_window(grid, 30.0),
-               window.build_offset_window(grid, -40.0, 160.0)]
+               window.build_window(grid, 100.0)]
     for w, form in zip(windows, window.bilinear_forms(windows, a, b)):
-        assert np.max(np.abs(form - a.conj().T @ oracle.window_matrix(w) @ b)) <= 1e-12, (w.T, w.center)
+        assert np.max(np.abs(form - a.conj().T @ oracle.window_matrix(w) @ b)) <= 1e-12, w.T
 
 
 def _direct_forms(windows, a, b):
@@ -127,7 +128,7 @@ def _direct_forms(windows, a, b):
     if not rows.size or not cols.size:
         return out
     grid = windows[0].grid
-    assert all(w.center == 0.0 and math.isfinite(w.T) for w in windows)
+    assert all(math.isfinite(w.T) for w in windows)
     k = grid.nodes
     x = k - 0.5 * (grid.k_min + grid.k_max)
     sw = np.sqrt(grid.weights)[:, None]
@@ -169,7 +170,7 @@ def test_forms_match_direct_sum_at_n15360(monkeypatch):
     windows = [window.build_window(grid, t) for t in times]
 
     def evaluate():
-        dists = {(family, name): [d.as_array()
+        dists = {(family, name): [astuple(d)
                                   for d in measurement.outcome_dists(family, r, windows, s)]
                  for family, r in refs.items() for name, s in sent.items()}
         return dists, window.detect_probs(windows, psi1)

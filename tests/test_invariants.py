@@ -5,18 +5,22 @@
   and for mixed inputs, at every window T <= t_open.
 * TΔ scaling: the outcome distributions of both families depend on the
   carriers and the sender only through k_i / Δ, TΔ and τ0·Δ.
+* Delay ≡ shifted window: a packet launched τ0 late, the spectral phase
+  exp(ikτ0), is detected in (-T, T) as often as the undelayed packet in
+  (-T - τ0, T - τ0), by the oracle's time-domain quadrature.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relbc import attacks, measurement
+from relbc import attacks, measurement, oracle
 from relbc.protocol import CommitConfig, ProtocolContext
-from relbc.spectra import SHAPES, disjoint_pair, make_amplitude, sample
+from relbc.spectra import SHAPES, disjoint_pair, grid_for_amplitudes, make_amplitude, sample
+from relbc.window import build_window, detect_prob
 
 # window half-widths up to TΔ = 500 keep every grid at four sub-panels or fewer
 _LOG_TD = st.floats(min_value=-1.0, max_value=math.log10(500.0))
@@ -62,6 +66,19 @@ def test_support_family_gives_exact_zeros_off_its_carrier(
             assert [d.p1 if i == 1 else d.p2 for d in dists] == [0.0] * len(windows)
 
 
+def test_carriers_touching_up_to_rounding_give_exact_zeros():
+    # supports one ulp apart, at a delta that no dyadic draw above reaches
+    delta = 0.3693022435767125
+    amp1, amp2 = disjoint_pair(3 * delta, 2 * delta, delta)
+    config = CommitConfig(n_channels=1, amp1=amp1, amp2=amp2, t_open=10.0)
+    for family in measurement.FAMILIES:
+        ctx = ProtocolContext(replace(config, povm_family=family))
+        d0, d1 = ctx.outcome_dists(10.0)
+        assert d0.p1 > 0.5 and d1.p2 > 0.5, family
+        if family == "support":
+            assert (d0.p2, d1.p1) == (0.0, 0.0)
+
+
 def _dists(shape, k1, k2, delta, t_open, T, tau0):
     """Both families' distributions of the honest, delayed and mixed senders."""
     amp1, amp2 = disjoint_pair(k1, k2, delta, shape)
@@ -71,7 +88,7 @@ def _dists(shape, k1, k2, delta, t_open, T, tau0):
         ctx = ProtocolContext(replace(config, povm_family=family))
         for strategy in (attacks.HONEST, attacks.Strategy("delayed", tau0=tau0),
                          attacks.Strategy("mixed")):
-            out += [d.as_array() for d in ctx.outcome_dists(T, attacks.sent_pair(strategy, ctx))]
+            out += [astuple(d) for d in ctx.outcome_dists(T, attacks.sent_pair(strategy, ctx))]
     return np.array(out)
 
 
@@ -98,3 +115,21 @@ def test_two_carrier_distributions_depend_on_T_delta_only(
                       frac * t_open / s, tau0 / s)
 
     assert np.max(np.abs(dists(scale) - dists(1.0))) <= 1e-12
+
+
+@settings(max_examples=90, deadline=None)
+@given(
+    shape=st.sampled_from(SHAPES),
+    delta=st.floats(min_value=0.3, max_value=3.0),
+    k_over_delta=st.floats(min_value=1.0, max_value=20.0),
+    T=st.floats(min_value=0.1, max_value=20.0),
+    shift=st.floats(min_value=-10.0, max_value=10.0),
+)
+def test_delay_equals_shifted_window(shape, delta, k_over_delta, T, shift):
+    # the production delay (a spectral phase under the window (-T, T))
+    # against the oracle's independent window about -tau0
+    amp = make_amplitude(shape, k_over_delta * delta, delta)
+    tau0 = shift * T
+    g = grid_for_amplitudes([amp], T)
+    p = detect_prob(build_window(g, T), sample(amp.delayed(tau0), g))
+    assert abs(p - oracle.detect_prob_time_domain(amp, T, tol=1e-11, center=-tau0)) <= 1e-12

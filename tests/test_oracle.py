@@ -1,7 +1,7 @@
 """Checks for the independent cross-check routines themselves."""
 
 import math
-from dataclasses import replace
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +30,7 @@ from relbc.spectra import (
     make_amplitude,
     sample,
 )
-from relbc.window import build_offset_window, build_window, detect_prob
+from relbc.window import build_window, detect_prob
 
 
 # High-precision references computed with mpmath (mp.si / direct quadrature
@@ -89,6 +89,30 @@ def test_closed_form_limits():
     assert detect_prob_flat_closed_form(1.0, 0.0) == 0.0
     assert abs(detect_prob_flat_closed_form(1.0, 1e-6) - 1e-6 / math.pi) < 1e-12
     assert detect_prob_flat_closed_form(1.0, 1e8) > 1 - 1e-7
+
+
+@pytest.mark.parametrize("delta, T", [(1.0, math.inf), (math.inf, 2.0), (math.inf, math.inf)])
+def test_closed_form_at_an_infinite_product_is_its_limit(delta, T):
+    # the window operator gives 1 at T = inf too
+    assert detect_prob_flat_closed_form(delta, T) == 1.0
+
+
+@pytest.mark.parametrize("delta, T", [
+    (math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0), (0.0, math.inf),
+], ids=["nan-delta", "nan-T", "inf-delta-zero-T", "zero-delta-inf-T"])
+def test_closed_form_refuses_nan_with_its_parameters(delta, T):
+    with pytest.raises(ValueError, match=re.escape(f"delta={delta!r}, T={T!r}")):
+        detect_prob_flat_closed_form(delta, T)
+
+
+@pytest.mark.parametrize("T, center, tol", [
+    (math.nan, 0.0, 1e-8), (math.inf, 0.0, 1e-8), (1.0, math.nan, 1e-8),
+    (1.0, math.inf, 1e-8), (1.0, 0.0, math.nan),
+], ids=["nan-T", "inf-T", "nan-center", "inf-center", "nan-tol"])
+def test_time_domain_refuses_non_finite_inputs_with_their_parameters(T, center, tol):
+    amp = make_amplitude("rectangular", 10.0, 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"T={T!r}, center={center!r}, tol={tol!r}")):
+        detect_prob_time_domain(amp, T, tol=tol, center=center)
 
 
 @pytest.mark.parametrize("shape", ["rectangular", "truncated-gaussian", "raised-cosine"])
@@ -177,21 +201,28 @@ def test_povm_validity_catches_corruption():
 @pytest.fixture(scope="module")
 def povm_cases():
     """Both families at T = 1 on one 768-node grid, with real and with
-    complex elements: an off-centre window makes the support family
-    complex, delayed references make the state family complex."""
+    complex elements: delayed references make the state family complex,
+    and the support family's real elements are cast to complex
+    (``_elements``), since its elements are real for every sender."""
     amp1, amp2 = disjoint_pair(12.0, 10.0, 1.0)
     grid = grid_for_amplitudes([amp1, amp2], T=5.0)
     support = support_povm(grid, amp1.support, amp2.support, 1.0)
     cases = {
         "support-real": support,
-        "support-complex": replace(support, window=build_offset_window(grid, -0.5, 1.5)),
+        "support-complex": support,
         "state-real": state_povm(sample(amp1, grid), sample(amp2, grid), 1.0),
         "state-complex": state_povm(sample(amp1.delayed(2.0), grid),
                                     sample(amp2.delayed(2.0), grid), 1.0),
     }
-    for name, povm in cases.items():
-        assert np.iscomplexobj(next(oracle.povm_elements(povm))) == name.endswith("complex")
+    for name in cases:
+        assert np.iscomplexobj(_elements(cases, name)[0]) == name.endswith("complex")
     return cases
+
+
+def _elements(povm_cases, case):
+    """The case's dense [M_1, M_2, M_perp]; cast to complex for support-complex."""
+    elements = list(oracle.povm_elements(povm_cases[case]))
+    return [m.astype(complex) for m in elements] if case == "support-complex" else elements
 
 
 CASES = ("support-real", "support-complex", "state-real", "state-complex")
@@ -199,7 +230,7 @@ CASES = ("support-real", "support-complex", "state-real", "state-complex")
 
 @pytest.mark.parametrize("case", CASES)
 def test_povm_validity_reports_hermiticity(povm_cases, case):
-    report = povm_validity_bruteforce(povm_cases[case])
+    report = povm_validity_bruteforce(povm_cases[case], _elements(povm_cases, case))
     assert report["passed"]
     for name in ("m1", "m2", "m_perp"):
         assert 0.0 <= report["elements"][name]["hermitian_residual"] <= _HERMITIAN_TOL
@@ -213,7 +244,7 @@ def test_povm_validity_catches_non_hermitian_element(povm_cases, case):
     # the lower triangle only and the sum is still the identity, so only
     # the Hermiticity check can see it
     povm = povm_cases[case]
-    m1, m2, m_perp = oracle.povm_elements(povm)
+    m1, m2, m_perp = _elements(povm_cases, case)
     m1[0, -1] += 0.3
     m_perp[0, -1] -= 0.3
     report = povm_validity_bruteforce(povm, (m1, m2, m_perp))
@@ -244,7 +275,7 @@ def test_povm_validity_catches_negative_element(povm_cases, case):
     # Hermiticity; e_0^T M_1 e_0 is below eps, so M_1 is no longer positive
     eps = 1e-6
     povm = povm_cases[case]
-    m1, m2, m_perp = oracle.povm_elements(povm)
+    m1, m2, m_perp = _elements(povm_cases, case)
     assert abs(m1[0, 0]) < eps / 2
     m1[0, 0] -= eps
     m_perp[0, 0] += eps
@@ -445,7 +476,7 @@ def test_validate_povms_split_support_elements_only(monkeypatch):
 def test_nan_on_an_isolated_diagonal_fails_the_audit(povm_cases, case):
     # a 1 x 1 block: its eigenvalue is the NaN itself, never sorted past
     povm = povm_cases[case]
-    m1, m2, m_perp = oracle.povm_elements(povm)
+    m1, m2, m_perp = _elements(povm_cases, case)
     assert not np.any(m1[0]) and not np.any(m1[:, 0])
     m1[0, 0] = math.nan
     report = povm_validity_bruteforce(povm, (m1, m2, m_perp))
@@ -460,7 +491,7 @@ def test_nan_coupling_two_blocks_fails_the_audit(povm_cases, case):
     # M_perp's two carrier blocks joined by a NaN at both ends: one block,
     # which eigvalsh gives NaN eigenvalues or cannot solve
     povm = povm_cases[case]
-    m1, m2, m_perp = oracle.povm_elements(povm)
+    m1, m2, m_perp = _elements(povm_cases, case)
     assert m_perp[0, -1] == 0.0
     m_perp[0, -1] = m_perp[-1, 0] = math.nan
     report = povm_validity_bruteforce(povm, (m1, m2, m_perp))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -89,13 +90,13 @@ def test_grid_quadrature_exactness():
 
 def test_amplitude_json_roundtrip():
     amp = make_amplitude("raised-cosine", 10.0, 2.0, tau0=0.3)
-    assert SpectralAmplitude.from_json(amp.to_json()) == amp
+    assert SpectralAmplitude.from_json(asdict(amp)) == amp
 
 
 @pytest.mark.parametrize("key", ["k_c", "delta", "tau0"])
 @pytest.mark.parametrize("value", [True, "12"])
 def test_amplitude_json_numbers_must_be_json_numbers(key, value):
-    obj = dict(make_amplitude("rectangular", 12.0, 1.0).to_json(), **{key: value})
+    obj = {"shape": "rectangular", "k_c": 12.0, "delta": 1.0, "tau0": 0.0, key: value}
     with pytest.raises(ValueError, match=f"key '{key}': expected a JSON number, got {value!r}"):
         SpectralAmplitude.from_json(obj)
 
@@ -132,6 +133,27 @@ def test_disjoint_overlap_is_exactly_zero(shape):
     a1, a2 = disjoint_pair(12.0, 10.0, 1.0, shape=shape)
     grid = grid_for_amplitudes([a1, a2])
     assert overlap(sample(a1, grid), sample(a2, grid)) == 0
+
+
+# delta at which disjoint_pair(3 delta, 2 delta, delta) leaves supports one
+# ulp (2.2e-16) apart, where a gap panel's 256 nodes would collide
+_TOUCHING_DELTA = 0.3693022435767125
+
+
+def test_carriers_touching_up_to_rounding_share_an_edge():
+    a1, a2 = disjoint_pair(3 * _TOUCHING_DELTA, 2 * _TOUCHING_DELTA, _TOUCHING_DELTA)
+    assert 0.0 < a1.support[0] - a2.support[1] < 1e-15
+    grid = grid_for_amplitudes([a1, a2], T=10.0)
+    assert grid.size == 512
+    assert grid.panel_edges.tolist() == [a2.support[0], a2.support[1], a1.support[1]]
+
+
+def test_a_small_gap_keeps_its_panel():
+    a1 = make_amplitude("rectangular", 12.0, 1.0)
+    a2 = make_amplitude("rectangular", 11.0 - 1e-6, 1.0)
+    grid = grid_for_amplitudes([a1, a2], T=10.0)
+    assert grid.size == 768
+    assert grid.panel_edges.tolist() == [*a2.support, *a1.support]
 
 
 def test_overlap_self_and_hermiticity():
