@@ -9,8 +9,8 @@ Two families are shipped:
   verifier's tool against delayed (time-shifted) states.
 
 Both resolve the identity exactly: M_perp := I - M_1 - M_2.  The elements
-are never stored: a POVM keeps its window and its two references (support
-masks or reference states), and ``outcome_dist`` evaluates each
+are never stored: a POVM keeps its window and its references (``support_refs``
+masks or ``state_refs`` states), and ``outcome_dist`` evaluates each
 probability as a bilinear form of the window (``window.bilinear_forms``).
 ``outcome_dists`` takes the family, the two references and a list of
 windows instead of POVMs, so one call cannot mix references, and evaluates
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import KGrid, SampledState, _same_grid, overlap
+from .spectra import KGrid, SampledState, _read_only, _same_grid, disjoint_supports, overlap
 from .window import WindowOperator, bilinear_forms, build_window
 
 PERP = 0  # outcome code for the inconclusive channel
@@ -86,30 +86,30 @@ class Povm:
         return tuple(oracle.povm_elements(self))
 
 
+def support_refs(grid: KGrid, e1, e2) -> tuple[np.ndarray, np.ndarray]:
+    """The support family's ``Povm.refs``: read-only 0/1 indicators of the
+    intervals E_1 and E_2 on the grid, which ``disjoint_supports`` checks."""
+    disjoint_supports([e1, e2])
+    inside = ((grid.nodes > lo) & (grid.nodes < hi) for lo, hi in (e1, e2))
+    return tuple(_read_only(ind.astype(float)) for ind in inside)
+
+
+def state_refs(psi1: SampledState, psi2: SampledState) -> tuple[np.ndarray, np.ndarray]:
+    """The state family's ``Povm.refs``: the weighted states psi_1, psi_2,
+    which must be orthogonal."""
+    if abs(overlap(psi1, psi2)) > 1e-8:
+        raise ValueError("reference states must be orthogonal")
+    return psi1.weighted(), psi2.weighted()
+
+
 def support_povm(grid: KGrid, e1, e2, T: float) -> Povm:
     """Support-projector family: M_i = P_{E_i} W_T P_{E_i}."""
-    (lo1, hi1), (lo2, hi2) = (map(float, e1), map(float, e2))
-    for lo, hi in ((lo1, hi1), (lo2, hi2)):
-        if not -math.inf < lo < hi < math.inf:  # NaN fails too
-            raise ValueError(f"support interval ({lo!r}, {hi!r}) must be finite and non-empty")
-    if max(lo1, lo2) < min(hi1, hi2):
-        raise ValueError("support intervals overlap")
-    ind1 = ((grid.nodes > lo1) & (grid.nodes < hi1)).astype(float)
-    ind2 = ((grid.nodes > lo2) & (grid.nodes < hi2)).astype(float)
-    for ind in (ind1, ind2):
-        ind.setflags(write=False)
-    return Povm(family="support", window=build_window(grid, T), refs=(ind1, ind2))
+    return Povm("support", build_window(grid, T), support_refs(grid, e1, e2))
 
 
 def state_povm(psi1: SampledState, psi2: SampledState, T: float) -> Povm:
     """State-projector family: M_i = W_T |psi_i><psi_i| W_T."""
-    if abs(overlap(psi1, psi2)) > 1e-8:
-        raise ValueError("reference states must be orthogonal")
-    return Povm(
-        family="state",
-        window=build_window(psi1.grid, T),
-        refs=(psi1.weighted(), psi2.weighted()),
-    )
+    return Povm("state", build_window(psi1.grid, T), state_refs(psi1, psi2))
 
 
 def mixed_density(states) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import measurement, window
+from . import measurement, spectra, window
 from .spectra import KGrid, SampledState, SpectralAmplitude, grid_for_amplitudes, sample
 
 ACCEPT = "accept"
@@ -51,10 +51,7 @@ class CommitConfig:
             raise ValueError("probe time must satisfy 0 <= t_probe < t_open")
         if self.povm_family not in measurement.FAMILIES:
             raise ValueError(f"unknown POVM family {self.povm_family!r}")
-        lo1, hi1 = self.amp1.support
-        lo2, hi2 = self.amp2.support
-        if max(lo1, lo2) < min(hi1, hi2):
-            raise ValueError("carrier supports must be disjoint")
+        spectra.disjoint_supports([self.amp1.support, self.amp2.support])
 
     @property
     def open_window(self) -> float:
@@ -110,15 +107,12 @@ class ProtocolContext:
         )
         self.psi1: SampledState = sample(config.amp1, self.grid)
         self.psi2: SampledState = sample(config.amp2, self.grid)
-        # the family's Povm.refs: window-independent, so built and checked
-        # once, by the family's constructor
+        # the family's Povm.refs: window-independent, so built and checked once
         self.refs = (
-            measurement.support_povm(
-                self.grid, config.amp1.support, config.amp2.support, config.t_open
-            )
+            measurement.support_refs(self.grid, config.amp1.support, config.amp2.support)
             if config.povm_family == "support"
-            else measurement.state_povm(self.psi1, self.psi2, config.t_open)
-        ).refs
+            else measurement.state_refs(self.psi1, self.psi2)
+        )
 
     def window(self, t: float) -> window.WindowOperator:
         """The window at parameter t on the context's grid.

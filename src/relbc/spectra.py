@@ -2,9 +2,10 @@
 
 The bit carriers are normalized spectral wavefunctions psi(k) with compact
 support on the positive wavenumber axis (c = 1, so wavenumber and angular
-frequency coincide numerically).  Everything downstream (window operators,
-POVMs, the protocol) works on states sampled onto a composite
-Gauss-Legendre grid.
+frequency coincide numerically).  The module owns the wavenumber geometry:
+``disjoint_supports`` is the one rule for how supports meet (they may touch,
+or overlap by rounding), and the composite Gauss-Legendre grid that every
+layer samples its states on is its layout, sub-panel edges and one rule.
 
 The carriers of one problem stay fixed while the window T changes, so the
 grid of a panel layout and a carrier sampled on it are built once and
@@ -38,6 +39,12 @@ _RULE = 256
 # gap panel collide at widths of 1e-13 k to 1e-12 k and are distinct at
 # 1e-11 k.
 _TOUCH_GAP = 1e-10
+
+# Largest overlap of two supports, relative to max(|k|, 1), that counts as
+# touching: touching carriers' edges k_c + delta/2 and k_c' - delta/2 round an
+# ulp or so apart either way.  It is far below sample's 1e-12 coverage
+# tolerance and, unless nodes crowd the ulp, below any node's panel-edge gap.
+_TOUCH_OVERLAP = 4 * np.finfo(float).eps
 
 # Largest grid grid_for_amplitudes builds (64 MiB of nodes and weights).
 # The far field of a window form grows as (24 n / 256)^2 kernel entries: one
@@ -178,57 +185,69 @@ def make_amplitude(
 def disjoint_pair(
     k_1: float, k_2: float, delta: float, shape: str = "rectangular"
 ) -> tuple[SpectralAmplitude, SpectralAmplitude]:
-    """Two equal-bandwidth amplitudes with disjoint supports.
+    """Two equal-bandwidth amplitudes whose supports ``disjoint_supports``
+    accepts: touching supports are fine, since the intersection has measure
+    zero, and so are supports that overlap by rounding."""
+    pair = (make_amplitude(shape, k_1, delta), make_amplitude(shape, k_2, delta))
+    disjoint_supports(a.support for a in pair)
+    return pair
 
-    Requires |k_1 - k_2| >= delta; touching supports (equality) are fine
-    since the intersection has measure zero.
-    """
-    if abs(k_1 - k_2) < delta:
-        raise ValueError(
-            "supports overlap: |k_1 - k_2| must be at least the bandwidth"
-        )
-    return (
-        make_amplitude(shape, k_1, delta),
-        make_amplitude(shape, k_2, delta),
-    )
+
+def disjoint_supports(supports) -> list[tuple[float, float]]:
+    """The one rule for how supports meet: the supports (lo, hi), sorted,
+    once each is finite and non-empty and no two overlap by more than
+    ``_TOUCH_OVERLAP`` max(|k|, 1); within that rounding they touch."""
+    supports = sorted((float(lo), float(hi)) for lo, hi in supports)
+    for lo, hi in supports:
+        if not -math.inf < lo < hi < math.inf:  # NaN fails too
+            raise ValueError(f"support interval ({lo!r}, {hi!r}) must be finite and non-empty")
+    # sorted by lo, a support overlaps a later one no more than its successor
+    for a, b in zip(supports, supports[1:]):
+        if a[1] - b[0] > _TOUCH_OVERLAP * max(abs(a[1]), 1.0):
+            raise ValueError(f"supports must be disjoint: {a!r} and {b!r} overlap")
+    return supports
 
 
 @dataclass(frozen=True, eq=False)
 class KGrid:
     """Composite Gauss-Legendre grid: one ``rule``-point rule on each sub-panel.
 
-    Sub-panel p spans [panel_edges[p], panel_edges[p + 1]] and holds nodes
-    p * rule to (p + 1) * rule - 1.  The window forms apply 1/(k - k') from
-    this layout alone (the edges and the rule), not from the stored nodes,
-    which are that geometry rounded to ulp(k).  The arrays are read-only,
-    since a grid is shared (``grid_for_amplitudes``), and a grid hashes and
-    compares by identity.
+    A grid is its layout.  Sub-panel p spans [panel_edges[p],
+    panel_edges[p + 1]] and holds nodes p * rule to (p + 1) * rule - 1, and
+    ``nodes`` and ``weights`` are derived from the edges and the rule once.
+    The window forms apply 1/(k - k') from the same layout, so they agree
+    with the nodes, which are that geometry rounded to ulp(k).  The arrays
+    are read-only, since a grid is shared (``grid_for_amplitudes``), and a
+    grid hashes and compares by identity.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
     panel_edges: np.ndarray
     rule: int
 
     def __post_init__(self):
-        nodes, weights, edges = (
-            _read_only(np.asarray(a, dtype=float))
-            for a in (self.nodes, self.weights, self.panel_edges)
-        )
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        edges = _read_only(np.asarray(self.panel_edges, dtype=float))
         object.__setattr__(self, "panel_edges", edges)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise ValueError("nodes and weights must be matching 1-D arrays")
-        if edges.ndim != 1 or nodes.size != self.rule * (edges.size - 1):
-            raise ValueError("grid must hold one rule of nodes per sub-panel")
-        if not np.all(np.diff(nodes) > 0):
+        if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
+            raise ValueError("panel edges must be an increasing 1-D array")
+        if not np.all(np.diff(self.nodes) > 0):
             raise ValueError("grid nodes must be strictly increasing")
-        if not np.all(weights > 0):
+        if not np.all(self.weights > 0):
             raise ValueError("quadrature weights must be positive")
         span = self.k_max - self.k_min
-        if abs(weights.sum() - span) > 1e-12 * max(span, 1.0):
+        if abs(self.weights.sum() - span) > 1e-12 * max(span, 1.0):
             raise ValueError("weights do not integrate the constant 1 over the span")
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """The rule's nodes x on each sub-panel [a, b]: (b - a) / 2 x + (a + b) / 2."""
+        a, b = self.panel_edges[:-1, None], self.panel_edges[1:, None]
+        return _read_only((0.5 * (b - a) * _leggauss(self.rule)[0] + 0.5 * (a + b)).ravel())
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The rule's weights w on each sub-panel [a, b]: (b - a) / 2 w."""
+        a, b = self.panel_edges[:-1, None], self.panel_edges[1:, None]
+        return _read_only((0.5 * (b - a) * _leggauss(self.rule)[1]).ravel())
 
     @property
     def k_min(self) -> float:
@@ -263,7 +282,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def gauss_legendre_grid(panels, nodes_per_panel: int) -> KGrid:
     """Composite GL grid: one ``nodes_per_panel``-point rule on each of the
-    contiguous ascending panels [(a, b), ...]."""
+    ascending panels [(a, b), ...], contiguous within 1e-12 max(|b|, 1).
+    The grid's edges are the a's and the last b."""
     edges = np.asarray(panels, dtype=float).reshape(-1, 2)
     if not len(edges):
         raise ValueError("at least one panel required")
@@ -272,15 +292,7 @@ def gauss_legendre_grid(panels, nodes_per_panel: int) -> KGrid:
         raise ValueError("panel endpoints must be ascending")
     if np.any(np.abs(b[:-1] - a[1:]) > 1e-12 * np.maximum(np.abs(b[:-1]), 1.0)):
         raise ValueError("panels must be contiguous")
-    rule = int(nodes_per_panel)
-    x, w = _leggauss(rule)
-    half = (0.5 * (b - a))[:, None]
-    return KGrid(
-        nodes=(half * x + (0.5 * (a + b))[:, None]).ravel(),
-        weights=(half * w).ravel(),
-        panel_edges=np.append(a, b[-1]),
-        rule=rule,
-    )
+    return KGrid(panel_edges=np.append(a, b[-1]), rule=int(nodes_per_panel))
 
 
 def _subpanels(width: float, delta: float, T: float) -> int:
@@ -295,10 +307,11 @@ def _subpanels(width: float, delta: float, T: float) -> int:
 def grid_for_amplitudes(amplitudes, T: float = 0.0) -> KGrid:
     """Panelled grid covering every amplitude's support plus the gaps between.
 
-    Panels align with support edges, except that a gap of at most
-    ``_TOUCH_GAP`` max(|k|, 1) counts as touching: the supports share an
-    edge.  Each panel of width w is cut into m equal sub-panels of one
-    256-node rule, m = ceil(max(64 pi w / delta_min, w T / 2) / 256), so
+    Panels align with support edges (``disjoint_supports`` checks the
+    supports), except that touching supports, which overlap by rounding or
+    leave a gap of at most ``_TOUCH_GAP`` max(|k|, 1), share one edge, the
+    lower one's hi.  Each panel of width w is cut into m equal sub-panels of
+    one 256-node rule, m = ceil(max(64 pi w / delta_min, w T / 2) / 256), so
     the node spacing stays <= delta_min/64 and the sinc kernel of the
     window half-width T stays resolved; m depends on the amplitudes and T
     only through w T and w / delta_min.  Raises GridBudgetError, before
@@ -309,21 +322,15 @@ def grid_for_amplitudes(amplitudes, T: float = 0.0) -> KGrid:
     the last ``GRID_CACHE_SIZE`` layouts (at worst 4 x 128 MiB at
     MAX_GRID_NODES), and a new one is built by ``gauss_legendre_grid``.
     """
-    supports = sorted(a.support for a in amplitudes)
+    supports = disjoint_supports(a.support for a in amplitudes)
     if not supports:
         raise ValueError("need at least one amplitude")
     delta_min = min(hi - lo for lo, hi in supports)
     edges = [supports[0][0]]
     for (lo, hi), nxt in zip(supports, supports[1:] + [None]):
-        if edges[-1] < hi:
-            edges.append(hi)
-        if nxt is None:
-            continue
-        if nxt[0] < hi:
-            raise ValueError(f"amplitude supports must not overlap: ({lo!r}, {hi!r}) and {nxt!r}")
-        # a gap within rounding of hi is touching: no gap panel, and the
-        # next support's panel starts at hi
-        if nxt[0] - hi > _TOUCH_GAP * max(abs(hi), 1.0):
+        edges.append(hi)
+        # the next support's panel starts at hi unless a gap panel is needed
+        if nxt is not None and nxt[0] - hi > _TOUCH_GAP * max(abs(hi), 1.0):
             edges.append(nxt[0])
     panels = list(zip(edges[:-1], edges[1:]))
     counts = tuple(_subpanels(b - a, delta_min, T) for a, b in panels)
@@ -409,10 +416,8 @@ def _sample(amplitude: SpectralAmplitude, grid: KGrid) -> SampledState:
 
 
 def _same_grid(a: KGrid, b: KGrid) -> bool:
-    """One grid object, or two with equal nodes and weights."""
-    return a is b or (
-        np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
-    )
+    """One grid object, or two with one layout: equal rule and panel edges."""
+    return a is b or (a.rule == b.rule and np.array_equal(a.panel_edges, b.panel_edges))
 
 
 def overlap(a: SampledState, b: SampledState) -> complex:

@@ -5,8 +5,8 @@
 geometry without cancellation, and far pairs through Chebyshev proxies.
 The dense-matrix tests stop at n = 3072; these tests pin the far field to
 a direct sum at n = 15360 and 75264, the near field to an 80-bit sum at
-n = 1536 to 75264, the forms to the dense matrix on uneven sub-panels and
-to the direct blocked Cauchy sum at n = 15360, the flat packet to its
+n = 1536 to 75264, the forms to the dense matrix on uneven and on nearly
+contiguous sub-panels and to the direct blocked Cauchy sum at n = 15360, the flat packet to its
 closed form at T*delta = 2.5e5, and the memory of one operator step.
 """
 
@@ -117,6 +117,18 @@ def test_forms_match_dense_on_uneven_sub_panels(rule, panels):
                window.build_window(grid, 100.0)]
     for w, form in zip(windows, window.bilinear_forms(windows, a, b)):
         assert np.max(np.abs(form - a.conj().T @ oracle.window_matrix(w) @ b)) <= 1e-12, w.T
+
+
+def test_forms_match_dense_on_nearly_contiguous_panels():
+    # gauss_legendre_grid takes panels 5e-13 apart as contiguous; the grid's
+    # nodes and the forms' sub-panels both come from its one set of edges
+    grid = gauss_legendre_grid([(9.5, 10.5 + 5e-13), (10.5, 11.5), (11.5, 12.5)], 256)
+    rng = np.random.default_rng(5)
+    a, b = rng.random((grid.size, 2)), rng.random((grid.size, 3))
+    a, b = a / np.linalg.norm(a, axis=0), b / np.linalg.norm(b, axis=0)
+    windows = [window.build_window(grid, 10.0), window.build_window(grid, 100.0)]
+    for w, form in zip(windows, window.bilinear_forms(windows, a, b)):
+        assert np.max(np.abs(form - a.T @ oracle.window_matrix(w) @ b)) <= 1e-13, w.T
 
 
 def _direct_forms(windows, a, b):

@@ -26,12 +26,11 @@ from relbc.window import build_window, detect_prob
 _LOG_TD = st.floats(min_value=-1.0, max_value=math.log10(500.0))
 
 
-# dyadic delta and sixteenths of it, so that touching carriers touch exactly
 @settings(max_examples=100, deadline=None)
 @given(
     shape=st.sampled_from(SHAPES),
-    delta=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
-    k_low=st.integers(min_value=16, max_value=320).map(lambda m: m / 16),
+    delta=st.floats(min_value=0.25, max_value=4.0),
+    k_low=st.floats(min_value=1.0, max_value=20.0),
     gap=st.one_of(st.just(0.0), st.integers(min_value=8, max_value=32).map(lambda m: m / 16)),
     log_td=_LOG_TD,
     fracs=st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=1, max_size=3),
@@ -67,7 +66,7 @@ def test_support_family_gives_exact_zeros_off_its_carrier(
 
 
 def test_carriers_touching_up_to_rounding_give_exact_zeros():
-    # supports one ulp apart, at a delta that no dyadic draw above reaches
+    # supports one ulp apart
     delta = 0.3693022435767125
     amp1, amp2 = disjoint_pair(3 * delta, 2 * delta, delta)
     config = CommitConfig(n_channels=1, amp1=amp1, amp2=amp2, t_open=10.0)

@@ -287,6 +287,21 @@ def test_context_povms_share_their_references(config, family):
     assert measurement.outcome_dist(later, sent) == measurement.outcome_dist(fresh, sent)
 
 
+@pytest.mark.parametrize("family", ["support", "state"])
+def test_context_builds_no_window_and_no_povm(config, monkeypatch, family):
+    # the context keeps only the family's references; a window and a POVM
+    # are built when a distribution is asked for
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built")
+
+    for cls in (measurement.WindowOperator, measurement.Povm):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    ctx = ProtocolContext(replace(config, povm_family=family))
+    assert len(ctx.refs) == 2
+    with pytest.raises(AssertionError, match="WindowOperator built"):
+        ctx.outcome_dists(1.0)
+
+
 def test_draws_come_from_three_places_only():
     # One sampling path: the commit draw, the outcome draw and the Monte Carlo
     # rate's committed bit are the only calls of a Generator draw method (or

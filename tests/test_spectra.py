@@ -1,12 +1,17 @@
 import math
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relbc import spectra
+from relbc.measurement import support_povm
+from relbc.protocol import CommitConfig, ProtocolContext
 from relbc.spectra import (
+    KGrid,
     SampledState,
     SpectralAmplitude,
     disjoint_pair,
@@ -79,6 +84,56 @@ def test_disjoint_pair_touching_ok():
 def test_disjoint_pair_overlap_rejected():
     with pytest.raises(ValueError):
         disjoint_pair(10.5, 10.0, 1.0)
+
+
+# One rule for how supports meet (``spectra.disjoint_supports``).  The edges
+# kl + d/2 of disjoint_pair(kl + d, kl, d) round up to an ulp apart either
+# way; every entry point that checks carriers must take such a pair as
+# touching, and refuse a genuine overlap.
+
+
+def _touching_pair_passes_every_check(kl, d):
+    amp1, amp2 = disjoint_pair(kl + d, kl, d)
+    config = CommitConfig(n_channels=1, amp1=amp1, amp2=amp2, t_open=10.0 / d,
+                          povm_family="support")
+    grid = grid_for_amplitudes([amp1, amp2], T=config.t_open)
+    support_povm(grid, amp1.support, amp2.support, config.t_open)
+    d0, d1 = ProtocolContext(config).outcome_dists(config.t_open)
+    assert (d0.p2, d1.p1) == (0.0, 0.0)
+    return amp1, amp2
+
+
+@settings(max_examples=100, deadline=None)
+@given(kl=st.floats(min_value=0.6, max_value=50.0),
+       frac=st.floats(min_value=0.05, max_value=1.0))
+def test_touching_pairs_pass_every_check(kl, frac):
+    _touching_pair_passes_every_check(kl, frac * kl)
+
+
+def test_pair_overlapping_by_one_ulp_passes_every_check():
+    amp1, amp2 = _touching_pair_passes_every_check(6.485100878783585, 8.259837852847557)
+    assert 0.0 < amp2.support[1] - amp1.support[0] < 2e-15
+
+
+@pytest.mark.parametrize("entry", ["disjoint_pair", "CommitConfig", "grid_for_amplitudes",
+                                   "support_povm"])
+@pytest.mark.parametrize("overlap_by", [1e-9 * 10.5, 0.5], ids=["1e-9k", "half-bandwidth"])
+def test_overlapping_supports_are_refused_everywhere(entry, overlap_by):
+    # the upper carrier (delta = 1) reaches overlap_by below the lower one's top, 10.5
+    upper = make_amplitude("rectangular", 11.0 - overlap_by, 1.0)
+    lower = make_amplitude("rectangular", 10.0, 1.0)
+    calls = {
+        "disjoint_pair": lambda: disjoint_pair(11.0 - overlap_by, 10.0, 1.0),
+        "CommitConfig": lambda: CommitConfig(n_channels=1, amp1=upper, amp2=lower,
+                                             t_open=10.0),
+        "grid_for_amplitudes": lambda: grid_for_amplitudes([upper, lower], T=10.0),
+        "support_povm": lambda: support_povm(gauss_legendre_grid([(9.5, 11.5)], 256),
+                                             upper.support, lower.support, 10.0),
+    }
+    with pytest.raises(ValueError, match="disjoint") as info:
+        calls[entry]()
+    assert repr(upper.support) in str(info.value)
+    assert repr(lower.support) in str(info.value)
 
 
 def test_grid_quadrature_exactness():
@@ -229,6 +284,10 @@ def test_grid_budget_fails_before_allocating():
 def fresh_caches():
     spectra._layout_grid.cache_clear()
     spectra._sample.cache_clear()
+
+
+def test_a_grid_is_its_layout():
+    assert [f.name for f in fields(KGrid)] == ["panel_edges", "rule"]
 
 
 def test_same_layout_returns_same_grid(fresh_caches):
