@@ -47,6 +47,7 @@ from .protocol import (
     CommitRecord,
     CommitTranscript,
     ProtocolContext,
+    RunBudgetError,
     commit,
     guess_success,
     ident_prob_collective,

@@ -64,24 +64,19 @@ def per_channel_flag_probs(
     times,
     claimed_bit: int = 0,
 ) -> list[float]:
-    """Probability that one channel contradicts the claim A will open, per time.
+    """Probability that one channel flags the claim A will open, per time
+    (``protocol.flag_prob`` under the config's POVM family).
 
-    Under the config's POVM family.  Support family: only a definite wrong
-    outcome flags (silence never contradicts a claim).  State family:
-    verification demands confirmation, so anything but the claimed outcome
-    flags, q = 1 - p_claimed.  The transmitted state is sampled once and
-    every window is evaluated in one form.
+    The transmitted state is sampled once and every window is evaluated in
+    one form.
     """
     family = ctx.config.povm_family
     sent = transmitted_state(strategy, claimed_bit, ctx)
     windows = [ctx.window(T) for T in times]
-    flags = []
-    for dist in measurement.outcome_dists(family, ctx.refs, windows, sent):
-        p_claimed, p_wrong = (
-            (dist.p1, dist.p2) if claimed_bit == 0 else (dist.p2, dist.p1)
-        )
-        flags.append(p_wrong if family == "support" else 1.0 - p_claimed)
-    return flags
+    return [
+        protocol.flag_prob(family, dist, claimed_bit)
+        for dist in measurement.outcome_dists(family, ctx.refs, windows, sent)
+    ]
 
 
 def cheat_detection_prob(strategy: Strategy, ctx: protocol.ProtocolContext, T: float) -> float:
@@ -108,17 +103,13 @@ def monte_carlo_detection_rate(
 
     Run i takes the stream (seed, i), draws a uniform committed bit from it
     and plays ``protocol.run_protocol`` on the same stream, so its channel
-    bits are uniform too.  A round is flagged by its verdict: an abort in
-    the support family, anything but accept in the state family.
+    bits are uniform too.  A round is flagged by its verdict
+    (``protocol.FLAGGING``).
     """
     protocol._check_count("runs", runs, 1)
     config = ctx.config
     dists = ctx.outcome_dists(T, sent_pair(strategy, ctx))
-    flags = (
-        (protocol.ABORT,)
-        if config.povm_family == "support"
-        else (protocol.ABORT, protocol.INCONCLUSIVE)
-    )
+    flags = protocol.FLAGGING[config.povm_family]
     flagged = 0
     for i in range(runs):
         rng = np.random.default_rng([config.seed, i])
@@ -140,7 +131,7 @@ def early_binding_advantages(
     t_probes = list(t_probes)
     if any(not 0.0 <= t < ctx.config.t_open for t in t_probes):
         raise ValueError("probe time must lie in [0, t_open)")
-    windows = [window.build_window(ctx.grid, t) for t in t_probes]
+    windows = [ctx.window(t) for t in t_probes]
     n = ctx.config.n_channels
     return [
         (

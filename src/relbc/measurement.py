@@ -10,16 +10,14 @@ Two families are shipped:
 
 Both resolve the identity exactly: M_perp := I - M_1 - M_2.  The elements
 are never stored: a POVM keeps its window and its references (``support_refs``
-masks or ``state_refs`` states), and ``outcome_dist`` evaluates each
-probability as a bilinear form of the window (``window.bilinear_forms``).
-``outcome_dists`` takes the family, the two references and a list of
-windows instead of POVMs, so one call cannot mix references, and evaluates
-every window in one form.  A mixed input is passed as its n x r
-factor F, rho = F F^H.  The dense elements, for brute-force checks on
-small grids, are built by the oracle one at a time
-(``oracle.povm_elements``), which refuses them past ``oracle.DENSE_MAX_N``
-= 4096 nodes; ``Povm.elements`` calls it and remains only for the
-benchmark's span annotations (``bench/spans.py``).
+masks or ``state_refs`` states), and ``outcome_dists`` evaluates each
+probability as a bilinear form of the window (``window.bilinear_forms``),
+for one family and one pair of references at every window of a call in
+one form.  A mixed input is passed as its n x r factor F, rho = F F^H.
+The dense elements, for brute-force checks on small grids, are built by
+the oracle one at a time (``oracle.povm_elements``), which refuses them
+past ``oracle.DENSE_MAX_N`` = 4096 nodes; ``Povm.elements`` calls it and
+remains only for the benchmark's span annotations (``bench/spans.py``).
 """
 
 from __future__ import annotations
@@ -30,13 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectra import KGrid, SampledState, _read_only, _same_grid, disjoint_supports, overlap
-from .window import WindowOperator, bilinear_forms, build_window
+from .window import WindowOperator, _clamp_prob, bilinear_forms, build_window
 
 PERP = 0  # outcome code for the inconclusive channel
 
 FAMILIES = ("support", "state")
-
-_NEG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,8 +63,7 @@ class Povm:
     refs: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown POVM family {self.family!r}, expected one of {FAMILIES}")
+        _check_family(self.family)
 
     @property
     def T(self) -> float:
@@ -84,6 +79,12 @@ class Povm:
         read only by the benchmark's span annotations (``bench/spans.py``)."""
         from . import oracle
         return tuple(oracle.povm_elements(self))
+
+
+def _check_family(family: str):
+    """Raise unless ``family`` names one of the ``FAMILIES``."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown POVM family {family!r}, expected one of {FAMILIES}")
 
 
 def support_refs(grid: KGrid, e1, e2) -> tuple[np.ndarray, np.ndarray]:
@@ -123,12 +124,6 @@ def mixed_density(states) -> np.ndarray:
     return np.column_stack([math.sqrt(1.0 / m) * s.weighted() for s in states])
 
 
-def _clamp_prob(p: float, label: str) -> float:
-    if p < -_NEG_TOL:
-        raise ValueError(f"{label} = {p}: negative beyond quadrature noise")
-    return max(p, 0.0)
-
-
 def _factor(grid: KGrid, state_or_factor) -> np.ndarray:
     """The n x r factor F of the input (r = 1 for a pure state)."""
     if isinstance(state_or_factor, SampledState):
@@ -153,8 +148,7 @@ def outcome_dists(family: str, refs, windows, state_or_factor) -> list[OutcomeDi
 
     Each window keeps its own clamps and sum check.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown POVM family {family!r}, expected one of {FAMILIES}")
+    _check_family(family)
     windows = list(windows)
     if not windows:
         return []

@@ -24,6 +24,27 @@ ACCEPT = "accept"
 ABORT = "abort"
 INCONCLUSIVE = "inconclusive"
 
+# The verdicts that flag a round, per POVM family.  The support family never
+# confirms a claim, so only a contradiction flags; the state family demands
+# confirmation, so a silent channel flags too.
+FLAGGING = {"support": (ABORT,), "state": (ABORT, INCONCLUSIVE)}
+
+# Channel rounds, N * runs, that one ``run_many`` batch may hold: its
+# transcripts keep every channel's bit and outcome.
+MAX_CHANNEL_ROUNDS = 1 << 20
+
+
+class RunBudgetError(ValueError):
+    """A ``run_many`` batch past ``MAX_CHANNEL_ROUNDS`` channel rounds was asked for."""
+
+    def __init__(self, n_channels: int, runs: int):
+        self.n_channels = n_channels
+        self.runs = runs
+        super().__init__(
+            f"{runs} runs of n_channels = {n_channels} need {n_channels * runs} "
+            f"channel rounds; a batch is limited to N * runs <= {MAX_CHANNEL_ROUNDS}"
+        )
+
 
 @dataclass(frozen=True)
 class CommitConfig:
@@ -49,8 +70,7 @@ class CommitConfig:
             raise ValueError(f"t_open must be positive and finite, got {self.t_open!r}")
         if not 0.0 <= self.t_probe < self.t_open:
             raise ValueError("probe time must satisfy 0 <= t_probe < t_open")
-        if self.povm_family not in measurement.FAMILIES:
-            raise ValueError(f"unknown POVM family {self.povm_family!r}")
+        measurement._check_family(self.povm_family)
         spectra.disjoint_supports([self.amp1.support, self.amp2.support])
 
     @property
@@ -139,12 +159,12 @@ class ProtocolContext:
 
         ``sent`` is what the sender ships for each channel bit (a state or
         the n x r factor of a density matrix); the honest carriers by
-        default.  The POVM is built once and dropped on return.
+        default.
         """
-        povm = self.povm(t)
+        family, windows = self.config.povm_family, [self.window(t)]
         s0, s1 = (self.psi1, self.psi2) if sent is None else sent
-        d0 = measurement.outcome_dist(povm, s0)
-        return d0, d0 if s1 is s0 else measurement.outcome_dist(povm, s1)
+        (d0,) = measurement.outcome_dists(family, self.refs, windows, s0)
+        return d0, d0 if s1 is s0 else measurement.outcome_dists(family, self.refs, windows, s1)[0]
 
     def carrier(self, channel_bit: int) -> SampledState:
         return self.psi1 if channel_bit == 0 else self.psi2
@@ -181,6 +201,14 @@ def open_and_verify(claims: CommitRecord, outcomes) -> str:
     return ACCEPT if definite_match else INCONCLUSIVE
 
 
+def flag_prob(family: str, dist: measurement.OutcomeDist, claimed_bit: int) -> float:
+    """Probability that one channel with outcome distribution ``dist`` flags
+    a claim of ``claimed_bit`` under ``FLAGGING[family]``: anything but the
+    claimed outcome where silence flags, a wrong definite outcome otherwise."""
+    p_claimed, p_wrong = (dist.p1, dist.p2) if claimed_bit == 0 else (dist.p2, dist.p1)
+    return 1.0 - p_claimed if INCONCLUSIVE in FLAGGING[family] else p_wrong
+
+
 def run_protocol(
     config: CommitConfig,
     bit: int,
@@ -213,10 +241,13 @@ def run_many(
 
     ``sent`` is what the sender ships for channel bits 0 and 1 (see
     ``ProtocolContext.outcome_dists``); their distributions are computed
-    once for the whole batch.
+    once for the whole batch.  A batch past ``MAX_CHANNEL_ROUNDS`` channel
+    rounds raises RunBudgetError before anything is drawn.
     """
     _check_count("runs", runs, 0)
     config = ctx.config
+    if config.n_channels * runs > MAX_CHANNEL_ROUNDS:
+        raise RunBudgetError(config.n_channels, runs)
     dists = ctx.outcome_dists(config.open_window, sent)
     return [
         run_protocol(config, bit, np.random.default_rng([config.seed, i]), dists)
@@ -256,10 +287,8 @@ def storage_security_curve(ctx: ProtocolContext, times) -> list[tuple[float, flo
     and success 1 maps to security 0.
     """
     times = [float(t) for t in times]
-    if any(t < 0 or t > ctx.config.t_open for t in times):
-        raise ValueError("times must lie within [0, t_open]")
     n = ctx.config.n_channels
-    windows = [window.build_window(ctx.grid, t) for t in times]
+    windows = [ctx.window(t) for t in times]
     curve = []
     for t, p in zip(times, window.detect_probs(windows, ctx.psi1)):
         best = max(ident_prob_collective(p, n), guess_success(p, n))

@@ -48,7 +48,8 @@ import numpy as np
 
 from .spectra import KGrid, SampledState, _leggauss, _same_grid
 
-_EIG_SLACK = 1e-9
+# Quadrature noise a probability may carry past either end of [0, 1].
+_PROB_SLACK = 1e-9
 
 # Kernel entries the Cauchy operator builds at once (8 MiB as float64).
 _BLOCK_ENTRIES = 1 << 20
@@ -268,14 +269,16 @@ def detect_probs(windows, state: SampledState) -> list[float]:
     if windows and not _same_grid(state.grid, windows[0].grid):
         raise ValueError("state and window live on different grids")
     u = state.weighted()[:, None]
-    probs = []
-    for p in np.real(bilinear_forms(windows, u, u)[:, 0, 0]).tolist():
-        if p < -_EIG_SLACK:
-            raise ValueError(f"quadratic form returned {p}: window operator is broken")
-        if p > 1.0 + 1e-6:
-            raise ValueError(f"quadratic form returned {p} > 1")
-        probs.append(min(max(p, 0.0), 1.0))
-    return probs
+    forms = np.real(bilinear_forms(windows, u, u)[:, 0, 0]).tolist()
+    return [_clamp_prob(p, "detection probability") for p in forms]
+
+
+def _clamp_prob(p: float, label: str) -> float:
+    """p clamped to [0, 1]; a p more than ``_PROB_SLACK`` outside is an error.
+    The one clamp of ``detect_probs`` and ``measurement.outcome_dists``."""
+    if not -_PROB_SLACK <= p <= 1.0 + _PROB_SLACK:
+        raise ValueError(f"{label} = {p} lies outside [0, 1] beyond quadrature noise")
+    return min(max(p, 0.0), 1.0)
 
 
 def detect_prob(w: WindowOperator, state: SampledState) -> float:

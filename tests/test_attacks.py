@@ -24,6 +24,7 @@ from relbc.protocol import (
     ProtocolContext,
     run_many,
     run_protocol,
+    storage_security_curve,
 )
 from relbc.spectra import SampledState, disjoint_pair, grid_for_amplitudes, make_amplitude
 from relbc.window import build_window, detect_prob
@@ -284,6 +285,7 @@ def test_windows_past_t_open_are_rejected(ctx, config):
         lambda: ctx.outcome_dists(t),
         lambda: per_channel_flag_probs(HONEST, ctx, [t]),
         lambda: monte_carlo_detection_rate(HONEST, _variant(ctx, povm_family="support"), t, 10),
+        lambda: storage_security_curve(ctx, [0.0, t]),
     ):
         with pytest.raises(ValueError, match=r"t = 30\.0 exceeds t_open = 20\.0"):
             call()

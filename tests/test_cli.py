@@ -267,6 +267,19 @@ def test_validate_ok(tmp_path, capsys):
     ]
 
 
+def test_validate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # eigvalsh's rounding noise in min_eig differs between one and two
+    # threads; it prints as 0.000e+00
+    env = dict(os.environ, PYTHONPATH=str(Path(relbc.__file__).resolve().parents[1]))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"validate{threads}.txt"
+        subprocess.run([sys.executable, "-m", "relbc.cli", "validate", "--out", str(out)],
+                       env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True, timeout=120)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_validate_detects_corruption(tmp_path):
     out = tmp_path / "audit.txt"
     code = main(["validate", "--inject-corruption", "--out", str(out)])
@@ -370,6 +383,16 @@ def test_exit_codes(tmp_path, capsys):
     # the old advisory --jobs option is gone
     assert main(["run", "--config", _write(tmp_path, RUN_CFG), "--jobs", "2"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n_channels, runs", [(10**9, 1), (2**20 + 1, 1), (2**10, 2**10 + 1)])
+def test_run_past_batch_budget_is_refused_before_drawing(tmp_path, capsys, n_channels, runs):
+    # N = 1e9 in one run was OOM-killed; the batch is refused by name instead
+    path = _write(tmp_path, dict(RUN_CFG, n_channels=n_channels))
+    capsys.readouterr()
+    assert main(["run", "--config", path, "--runs", str(runs)]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert f"{runs} runs of n_channels = {n_channels}" in err and "1048576" in err, err
 
 
 @pytest.mark.parametrize("cmd", ["attack", "run"])

@@ -1,10 +1,11 @@
 import math
+import re
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from relbc import oracle
+from relbc import measurement, oracle, window
 from relbc.measurement import (
     FAMILIES,
     PERP,
@@ -13,12 +14,14 @@ from relbc.measurement import (
     effective_angle,
     mixed_density,
     outcome_dist,
+    outcome_dists,
     sample_outcomes,
     state_povm,
     support_povm,
 )
+from relbc.protocol import CommitConfig
 from relbc.spectra import disjoint_pair, grid_for_amplitudes, sample
-from relbc.window import build_window, detect_prob
+from relbc.window import build_window, detect_prob, detect_probs
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +34,43 @@ def pair():
 def test_povm_rejects_unknown_family(pair):
     # unchecked, a misspelt family is read as the state family, and support
     # indicators as state references give p_perp far below zero
-    a1, a2, grid, *_ = pair
+    a1, a2, grid, s1, _ = pair
     povm = support_povm(grid, a1.support, a2.support, 1.0)
-    with pytest.raises(ValueError, match="unknown POVM family 'suport'"):
-        Povm("suport", povm.window, povm.refs)
+    message = re.escape(f"unknown POVM family 'suport', expected one of {FAMILIES}")
+    # one check, with one message, for the POVM, the distributions and the config
+    for call in (
+        lambda: Povm("suport", povm.window, povm.refs),
+        lambda: outcome_dists("suport", povm.refs, [povm.window], s1),
+        lambda: CommitConfig(n_channels=1, amp1=a1, amp2=a2, t_open=20.0, povm_family="suport"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
     assert all(Povm(f, povm.window, povm.refs).family == f for f in FAMILIES)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_form_past_one_beyond_rounding_raises(pair, monkeypatch, family):
+    # one slack, 1e-9, on both sides of [0, 1]: a form 5e-7 above 1 is an
+    # error from the detection probability and from the outcome distribution
+    a1, a2, grid, s1, s2 = pair
+    povm = (support_povm(grid, a1.support, a2.support, 1.0) if family == "support"
+            else state_povm(s1, s2, 1.0))
+    over = 1.0 + 5e-7
+
+    def forms(windows, a, b):
+        # p1 = over and p2 = 0: the state family squares row 0 of one form,
+        # and the support family's second form is on P_2 psi_1 = 0
+        out = np.zeros((len(windows), a.shape[1], b.shape[1]), dtype=complex)
+        if a.any():
+            out[:, 0, 0] = math.sqrt(over) if a.shape[1] == 2 else over
+        return out
+
+    monkeypatch.setattr(window, "bilinear_forms", forms)
+    monkeypatch.setattr(measurement, "bilinear_forms", forms)
+    with pytest.raises(ValueError, match=r"detection probability = 1\.000000"):
+        detect_probs([povm.window], s1)
+    with pytest.raises(ValueError, match=r"p1 = 1\.000000"):
+        outcome_dists(family, povm.refs, [povm.window], s1)
 
 
 def test_support_povm_completeness_exact(pair):

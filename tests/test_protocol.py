@@ -12,11 +12,15 @@ from relbc.measurement import PERP, OutcomeDist, sample_outcomes
 from relbc.protocol import (
     ABORT,
     ACCEPT,
+    FLAGGING,
     INCONCLUSIVE,
+    MAX_CHANNEL_ROUNDS,
     CommitConfig,
     CommitRecord,
     ProtocolContext,
+    RunBudgetError,
     commit,
+    flag_prob,
     guess_success,
     ident_prob_collective,
     ident_prob_individual,
@@ -326,3 +330,64 @@ def test_draws_come_from_three_places_only():
         ("measurement", "sample_outcomes", "random"),
         ("protocol", "commit", "integers"),
     ], found
+
+
+@pytest.mark.parametrize("family", measurement.FAMILIES)
+@pytest.mark.parametrize("claimed_bit", [0, 1])
+@pytest.mark.parametrize("outcome", [1, 2, PERP])
+def test_flag_prob_is_one_exactly_for_a_flagging_verdict(family, claimed_bit, outcome):
+    # a point-mass channel flags with probability 1 when B's one-channel
+    # verdict is in the family's flagging set, and 0 otherwise
+    assert tuple(FLAGGING) == measurement.FAMILIES
+    dist = OutcomeDist(*(float(o == outcome) for o in (1, 2, PERP)))
+    verdict = open_and_verify(CommitRecord(claimed_bit, (claimed_bit,)), (outcome,))
+    assert flag_prob(family, dist, claimed_bit) == float(verdict in FLAGGING[family])
+
+
+def test_run_batch_past_budget_is_refused_before_drawing(ctx, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("drew a round")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    big = ProtocolContext(replace(ctx.config, n_channels=MAX_CHANNEL_ROUNDS // 4 + 1))
+    with pytest.raises(RunBudgetError, match="5 runs of n_channels = 262145") as info:
+        run_many(big, 5, 0)
+    assert (info.value.n_channels, info.value.runs) == (MAX_CHANNEL_ROUNDS // 4 + 1, 5)
+    assert isinstance(info.value, ValueError)
+
+
+def test_one_owner_builds_context_windows_and_povms():
+    # only ProtocolContext.window builds a window on a context's grid, and
+    # Povm is constructed only by ctx.povm and the two family builders, so
+    # no run or attack path builds a Povm
+    import ast
+    from pathlib import Path
+
+    import relbc
+
+    def calls(node, name):
+        """(callee, first argument, enclosing function) of every call under node."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from calls(child, f"{name}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                callee = getattr(child.func, "attr", getattr(child.func, "id", None))
+                yield callee, child.args[0] if child.args else None, name
+            yield from calls(child, name)
+
+    def on_context_grid(arg):
+        return (isinstance(arg, ast.Attribute) and arg.attr == "grid"
+                and isinstance(arg.value, ast.Name) and arg.value.id in ("ctx", "self"))
+
+    windows, povms = [], []
+    for path in sorted(Path(relbc.__file__).parent.glob("*.py")):
+        for callee, arg, name in calls(ast.parse(path.read_text()), path.stem):
+            if callee in ("build_window", "WindowOperator") and on_context_grid(arg):
+                windows.append(name)
+            if callee == "Povm":
+                povms.append(name)
+    assert windows == ["protocol.ProtocolContext.window"]
+    assert sorted(povms) == [
+        "measurement.state_povm", "measurement.support_povm", "protocol.ProtocolContext.povm",
+    ]
