@@ -34,8 +34,25 @@ EXIT_INVARIANT = 2
 EXIT_CONFIG = 3
 
 
+# Runs one ``relbc run --format json --out DIR`` may write, one file each:
+# the width of the run_{i:05d}.json names.
+MAX_RUN_FILES = 10**5
+
+
 class ConfigError(Exception):
     pass
+
+
+class RunFilesError(ValueError):
+    """``relbc run --format json --out DIR`` past ``MAX_RUN_FILES`` runs."""
+
+    def __init__(self, runs: int):
+        self.runs = runs
+        self.cap = MAX_RUN_FILES
+        super().__init__(
+            f"--format json --out DIR writes one file per run: {runs} runs "
+            f"exceed the cap of {MAX_RUN_FILES} files"
+        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -250,6 +267,9 @@ def _context(config: protocol.CommitConfig, strategy: attacks.Strategy) -> proto
 
 
 def cmd_run(args) -> int:
+    # refused before anything is drawn or any directory is made
+    if args.format == "json" and args.out is not None and args.runs > MAX_RUN_FILES:
+        raise RunFilesError(args.runs)
     cfg = _load_config(args.config)
     config = _protocol_config(cfg, args.seed)
     strategy = _strategy(cfg)

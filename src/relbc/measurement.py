@@ -156,15 +156,15 @@ def outcome_dists(family: str, refs, windows, state_or_factor) -> list[OutcomeDi
     tr = float(np.sum(np.abs(f) ** 2))
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"density matrix trace {tr} != 1")
+    # (windows, 2): p1 and p2 at every window, reduced in one call
     if family == "support":
         forms = [bilinear_forms(windows, pf, pf) for pf in (ind[:, None] * f for ind in refs)]
-        probs = [[float(np.real(np.trace(g))) for g in pair] for pair in zip(*forms)]
+        probs = np.real(np.trace(np.stack(forms, axis=1), axis1=2, axis2=3))
     else:
-        forms = bilinear_forms(windows, np.column_stack(refs), f)
-        probs = [[float(np.sum(np.abs(row) ** 2)) for row in g] for g in forms]
+        probs = np.sum(np.abs(bilinear_forms(windows, np.column_stack(refs), f)) ** 2, axis=2)
     dists = []
-    for p in probs:
-        p.append(tr - p[0] - p[1])
+    for p1, p2 in probs.tolist():
+        p = (p1, p2, tr - p1 - p2)
         p1, p2, pp = (_clamp_prob(v, lbl) for v, lbl in zip(p, ("p1", "p2", "p_perp")))
         total = p1 + p2 + pp
         if abs(total - 1.0) > 1e-8:

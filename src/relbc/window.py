@@ -21,17 +21,28 @@ the sub-panel edges and the rule rather than from the stored nodes:
 * self blocks are the rule's own 1/(x_i - x_j), built once per process
   and scaled by 1 / half-width;
 * other near pairs (gap smaller than the wider sub-panel) take
-  k - k' as a sum of non-negative terms, free of cancellation, and each
-  step builds such a block once per geometry class (gap and the two
-  half-widths), which on a uniform panel is one block for all of its
-  neighbour pairs;
+  k - k' as a sum of non-negative terms, free of cancellation, in one
+  block per geometry class (gap and the two half-widths), which on a
+  uniform panel is one block for all of its neighbour pairs;
 * every far pair goes through ``_PROXIES`` Chebyshev proxies per
   sub-panel (Fong & Darve 2009), which keeps the far field to rounding
   level and costs (n p / rule)^2 instead of n^2 kernel entries.
 
-A step builds at most ``_BLOCK_ENTRIES`` kernel entries, or one
-sub-panel's proxies against all others' (p^2 per sub-panel) on grids past
-about 4.7e5 nodes, so memory stays O(n) on any grid.  The oracle builds
+Which pairs are near, of which kind and geometry, and whether any is far
+depends on the layout and the two sub-panel sets only, so it is planned
+once (``_cauchy_plan``, a ``functools.lru_cache`` of ``_PLAN_CACHE``
+plans) and a call only does the products with y.  The neighbour blocks
+are shared through a ``functools.lru_cache`` of ``_BLOCK_CACHE`` blocks
+keyed on (geometry, rule) (``_neighbour_block``).  The two caches retain
+at most 4 blocks of 0.5 MiB at the 256-node rule, and 16 plans of under
+1 KiB, plus 0.5 KiB per near pair, plus 8 bytes per panel edge each; a
+carrier grid has at most three near pairs per row sub-panel, so a plan
+over all 16384 sub-panels of a 2^22-node grid stays under 25 MB.
+``cache_info()`` on either cache counts its hits.  The far-field proxy
+kernel is built per call and not kept: a step builds at most
+``_BLOCK_ENTRIES`` kernel entries, or one sub-panel's proxies against all
+others' (p^2 per sub-panel) on grids past about 4.7e5 nodes, so memory
+stays O(n) on any grid.  The oracle builds
 the dense references the forms are tested against (``oracle.window_matrix``,
 ``oracle.window_spectrum``) and refuses them past ``oracle.DENSE_MAX_N`` =
 4096 nodes; ``WindowOperator.matrix`` calls it, kept only for the
@@ -43,10 +54,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .spectra import KGrid, SampledState, _leggauss, _same_grid
+from .spectra import KGrid, SampledState, _leggauss, _read_only, _same_grid
 
 # Quadrature noise a probability may carry past either end of [0, 1].
 _PROB_SLACK = 1e-9
@@ -63,6 +75,12 @@ _PROXIES = 24
 # A gap this close to the wider width counts as far, so that equal
 # sub-panels two apart are far whatever the rounding of their edges.
 _FAR_GAP = 1.0 - 1e-9
+
+# Plans of the Cauchy operator kept (``_cauchy_plan``), and neighbour
+# blocks of rule^2 float64 kept (``_neighbour_block``, 0.5 MiB each at
+# the 256-node rule); the module docstring states the bytes they retain.
+_PLAN_CACHE = 16
+_BLOCK_CACHE = 4
 
 
 @dataclass(frozen=True)
@@ -119,11 +137,14 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     grid = windows[0].grid
     if not all(_same_grid(w.grid, grid) for w in windows):
         raise ValueError("windows live on different grids")
-    row_nz, col_nz = a.any(axis=1), b.any(axis=1)
+    same = b is a
+    row_nz = a.any(axis=1)
+    col_nz = row_nz if same else b.any(axis=1)
     if not row_nz.any() or not col_nz.any():
         return out
-    common = np.flatnonzero(row_nz & col_nz)
-    a_c, b_c = a[common].conj().T, b[common]
+    common = np.flatnonzero(row_nz if same else row_nz & col_nz)
+    b_c = b[common]
+    a_c = b_c.conj().T if same else a[common].conj().T
     full = [j for j, w in enumerate(windows) if math.isinf(w.T)]
     if full:
         out[full] = a_c @ b_c
@@ -132,19 +153,22 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
     r = grid.rule
     rp = np.flatnonzero(row_nz.reshape(-1, r).any(axis=1))
-    cp = np.flatnonzero(col_nz.reshape(-1, r).any(axis=1))
     rows = (rp[:, None] * r + np.arange(r)).ravel()
-    cols = (cp[:, None] * r + np.arange(r)).ravel()
     ts = np.array([windows[j].T for j in finite])
     x = grid.centred_nodes
+    sw = grid.sqrt_weights[:, None]
 
     def phases(idx):
         phi = np.multiply.outer(x[idx], ts)
         return np.sin(phi)[..., None], np.cos(phi)[..., None]
 
     sin_r, cos_r = phases(rows)
-    sin_c, cos_c = (sin_r, cos_r) if np.array_equal(rp, cp) else phases(cols)
-    sw = grid.sqrt_weights[:, None]
+    if same:
+        cp, cols, sin_c, cos_c = rp, rows, sin_r, cos_r
+    else:
+        cp = np.flatnonzero(col_nz.reshape(-1, r).any(axis=1))
+        cols = (cp[:, None] * r + np.arange(r)).ravel()
+        sin_c, cos_c = (sin_r, cos_r) if np.array_equal(rp, cp) else phases(cols)
     b_t = (b[cols] * sw[cols])[:, None, :]
     # [c B, s B] of every window as one real (n_c, 4 r_b m) right-hand side
     cs_b = np.empty((cols.size, ts.size, 2, b.shape[1]), dtype=complex)
@@ -153,7 +177,7 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     cs_b = cs_b.reshape(cols.size, -1).view(np.float64)
     g = _cauchy(grid, rp, cp, cs_b).view(np.complex128).reshape(rows.size, ts.size, 2, -1)
     g = sin_r * g[:, :, 0] - cos_r * g[:, :, 1]
-    a_t = (a[rows] * sw[rows])[:, None, :].conj()
+    a_t = b_t.conj() if same else (a[rows] * sw[rows])[:, None, :].conj()
     forms = a_t.transpose(1, 2, 0) @ g.transpose(1, 0, 2)
     # where a row meets its own column (k = k') C is zero, and the
     # removable singularity is the (T / pi) sum term
@@ -194,72 +218,113 @@ def _cauchy(grid: KGrid, rp: np.ndarray, cp: np.ndarray, y: np.ndarray) -> np.nd
 
     Node a of sub-panel i lies at lo_i + h_i (1 + x_a) = hi_i - h_i (1 - x_a)
     for the rule's nodes x and half-width h_i, and every block is taken from
-    that geometry.  Each step classifies its rows of rp against all of cp
-    once: a pair is near when its gap is below the wider width (up to
-    ``_FAR_GAP``).  A self block is the rule's S / h.  Another near pair,
+    that geometry.  Which pairs are near, and how, does not depend on y:
+    ``_cauchy_plan`` decides it once per layout and (rp, cp), and this
+    applies the plan.  A self block is the rule's S / h.  Another near pair,
     i above j, has k_a - k'_b = (lo_i - hi_j) + h_i (1 + x_a) + h_j (1 - x_b),
     a sum of non-negative terms, so its block is free of cancellation; i
     below j subtracts the transpose of the mirrored block.  The block
     depends on the pair only through its geometry (lo_i - hi_j, h_i, h_j),
-    so a step builds it once per geometry, the same bits for every pair
-    that shares one, and drops it before the proxies.  Far pairs go
-    through the proxies: y is anterpolated to the proxies of cp, they
-    interact through 1/(t - t'), and the result is interpolated to the nodes
-    of rp.  A step's proxy kernel has at most ``_BLOCK_ENTRIES`` entries, or
-    one sub-panel's proxies against all of cp's where that is more (past
-    ``_BLOCK_ENTRIES`` / p^2 sub-panels, about 4.7e5 nodes).
+    so every pair that shares one gets the same bits from
+    ``_neighbour_block``.  Far pairs go through the proxies: y is
+    anterpolated to the proxies of cp, they interact through 1/(t - t'),
+    and the result is interpolated to the nodes of rp.  A step's proxy
+    kernel has at most ``_BLOCK_ENTRIES`` entries, or one sub-panel's
+    proxies against all of cp's where that is more (past ``_BLOCK_ENTRIES``
+    / p^2 sub-panels, about 4.7e5 nodes); it is freed before the step's
+    near field, and the step adds its far field last.
     """
-    r, m, p, edges = grid.rule, y.shape[1], _PROXIES, grid.panel_edges
+    r, m, p = grid.rule, y.shape[1], _PROXIES
+    plan = _cauchy_plan(grid.panel_edges.tobytes(), np.asarray(rp, np.intp).tobytes(),
+                        np.asarray(cp, np.intp).tobytes())
     s, interp, t = _rule_operators(r)
-    x, _ = _leggauss(r)
+    y = y.reshape(cp.size, r, m)
+    out = np.zeros((rp.size, r, m))
+    if plan.far:
+        charges = (interp.T @ y).reshape(-1, m)
+        lo, hi = grid.panel_edges[:-1], grid.panel_edges[1:]
+        offsets = (0.5 * (hi - lo))[:, None] * t
+    for start, stop, pairs, near in plan.steps:
+        far = None
+        if near is not None:
+            blk = rp[start:stop]
+            # proxy distances from differences of edges, which are exact for
+            # edges within a factor 2 of each other: the distances keep their
+            # relative precision wherever the grid lies
+            mids = 0.5 * (np.subtract.outer(lo[blk], lo[cp]) + np.subtract.outer(hi[blk], hi[cp]))
+            kern = (mids[:, None, :, None] + offsets[blk, :, None, None]) - offsets[cp]
+            kern.transpose(0, 2, 1, 3)[near] = 1.0  # not 0: no division by zero
+            np.reciprocal(kern, out=kern)
+            kern.transpose(0, 2, 1, 3)[near] = 0.0
+            far = interp @ (kern.reshape(blk.size * p, -1) @ charges).reshape(blk.size, p, m)
+            del kern  # not held while the near field builds its blocks
+        for i, j, kind, geo in pairs:
+            if kind == 0:
+                out[i] += s @ (y[j] / geo)
+            elif kind > 0:
+                out[i] += _neighbour_block(*geo, r) @ y[j]
+            else:
+                out[i] -= _neighbour_block(*geo, r).T @ y[j]
+        if far is not None:
+            out[start:stop] += far
+    return out.reshape(-1, m)
+
+
+class _Plan(NamedTuple):
+    """The y-independent part of ``_cauchy`` for one layout and (rp, cp).
+
+    Rows of rp go in ``steps``; a step (start, stop, pairs, near) holds
+    rp[start:stop] and its near pairs as (row of rp, index into cp, kind,
+    geometry), in the order they are summed: kind 0 is a self block
+    (geometry: its half-width), 1 a row sub-panel above its column and -1
+    one below (geometry (lo_up - hi_dn, h_up, h_dn)).  ``near`` is None
+    when every pair of the step is near, else the (row, column) indices
+    within the step of its near pairs, which the proxy kernel skips.
+    ``far`` says whether any pair is far.
+    """
+
+    steps: tuple
+    far: bool
+
+
+@lru_cache(maxsize=_PLAN_CACHE)
+def _cauchy_plan(edges: bytes, rp: bytes, cp: bytes) -> _Plan:
+    """The ``_Plan`` of the layout with these panel edges for sub-panels rp
+    and cp, given as the bytes of float64 and intp arrays: a plan holds no
+    grid."""
+    edges = np.frombuffer(edges)
+    rp, cp = np.frombuffer(rp, dtype=np.intp), np.frombuffer(cp, dtype=np.intp)
     lo, hi = edges[:-1], edges[1:]
     width = hi - lo
     half = 0.5 * width
-    offsets = half[:, None] * t
-    y = y.reshape(cp.size, r, m)
-    charges = (interp.T @ y).reshape(-1, m)
-    out = np.zeros((rp.size, r, m))
-    step = max(1, _BLOCK_ENTRIES // (p * p * cp.size))
+    steps, geos = [], {}
+    step = max(1, _BLOCK_ENTRIES // (_PROXIES * _PROXIES * cp.size))
     for start in range(0, rp.size, step):
         blk = rp[start:start + step]
         gap = np.maximum(np.subtract.outer(lo[cp], hi[blk]).T, np.subtract.outer(lo[blk], hi[cp]))
         near = gap < _FAR_GAP * np.maximum.outer(width[blk], width[cp])
-        blocks = {}
-        for i, j in zip(*np.nonzero(near)):
-            a, b = blk[i], cp[j]
+        idx = tuple(_read_only(i) for i in np.nonzero(near))
+        pairs = []
+        for i, j in zip(*(i.tolist() for i in idx)):
+            a, b = int(blk[i]), int(cp[j])
             if a == b:
-                out[start + i] += s @ (y[j] / half[b])
-                continue
-            up, dn = max(a, b), min(a, b)
-            geo = (lo[up] - hi[dn], half[up], half[dn])
-            if a > b:
-                out[start + i] += _neighbour_block(blocks, x, geo) @ y[j]
+                pairs.append((start + i, j, 0, float(half[b])))
             else:
-                out[start + i] -= _neighbour_block(blocks, x, geo).T @ y[j]
-        del blocks  # not held while the step's proxy kernel is built
-        if near.all():
-            continue
-        # proxy distances from differences of edges, which are exact for
-        # edges within a factor 2 of each other: the distances keep their
-        # relative precision wherever the grid lies
-        mids = 0.5 * (np.subtract.outer(lo[blk], lo[cp]) + np.subtract.outer(hi[blk], hi[cp]))
-        kern = (mids[:, None, :, None] + offsets[blk, :, None, None]) - offsets[cp]
-        pairs = kern.transpose(0, 2, 1, 3)
-        pairs[near] = 1.0  # not 0: no division by zero
-        np.reciprocal(kern, out=kern)
-        pairs[near] = 0.0
-        kern = kern.reshape(blk.size * p, -1)
-        out[start:start + step] += interp @ (kern @ charges).reshape(blk.size, p, m)
-    return out.reshape(-1, m)
+                up, dn = max(a, b), min(a, b)
+                geo = (float(lo[up] - hi[dn]), float(half[up]), float(half[dn]))
+                pairs.append((start + i, j, 1 if a > b else -1, geos.setdefault(geo, geo)))
+        steps.append((start, start + blk.size, tuple(pairs), None if near.all() else idx))
+    return _Plan(tuple(steps), any(near is not None for *_, near in steps))
 
 
-def _neighbour_block(blocks: dict, x: np.ndarray, geo: tuple) -> np.ndarray:
-    """1/(k_a - k'_b) of a near pair of geometry geo = (lo_up - hi_dn, h_up, h_dn),
-    rows in the upper sub-panel; built on first use and kept in ``blocks``."""
-    block = blocks.get(geo)
-    if block is None:
-        dk = (geo[0] + geo[1] * (1.0 + x))[:, None] + geo[2] * (1.0 - x)
-        block = blocks[geo] = np.divide(1.0, dk, out=dk)
+@lru_cache(maxsize=_BLOCK_CACHE)
+def _neighbour_block(gap: float, h_up: float, h_dn: float, rule: int) -> np.ndarray:
+    """1/(k_a - k'_b) of a near pair of geometry (lo_up - hi_dn, h_up, h_dn),
+    rows in the upper sub-panel, read-only."""
+    x, _ = _leggauss(rule)
+    dk = (gap + h_up * (1.0 + x))[:, None] + h_dn * (1.0 - x)
+    block = np.divide(1.0, dk, out=dk)
+    block.setflags(write=False)
     return block
 
 

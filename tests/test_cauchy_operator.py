@@ -7,7 +7,9 @@ The dense-matrix tests stop at n = 3072; these tests pin the far field to
 a direct sum at n = 15360 and 75264, the near field to an 80-bit sum at
 n = 1536 to 75264, the forms to the dense matrix on uneven and on nearly
 contiguous sub-panels and to the direct blocked Cauchy sum at n = 15360, the flat packet to its
-closed form at T*delta = 2.5e5, and the memory of one operator step.
+closed form at T*delta = 2.5e5, and the memory of one operator step.  The
+operator's plans and neighbour blocks are cached: a cold and a warm call
+give the same bits, and the bytes the caches retain stay bounded.
 """
 
 import math
@@ -225,3 +227,112 @@ def test_far_field_step_memory_at_n75264():
     # the proxy kernel of the step (at most 8 MiB) and O(n) besides
     print(f"one operator step at n = {grid.size}: peak {peak} bytes")
     assert peak < 8 * window._BLOCK_ENTRIES + 2**20, peak
+
+
+def _one_far_field_step(grid):
+    """Peak traced bytes and result of the operator step of the test above."""
+    panels = grid.panel_edges.size - 1
+    cp = np.arange(panels)
+    rp = np.arange(window._BLOCK_ENTRIES // (window._PROXIES ** 2 * panels))
+    y = np.ones((grid.size, 4))
+    tracemalloc.start()
+    try:
+        out = window._cauchy(grid, rp, cp, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, out
+
+
+def test_far_field_step_memory_with_cold_and_warm_caches():
+    # a cold call builds the plan and the neighbour blocks, the blocks after
+    # the step's proxy kernel is freed; a warm one builds neither
+    _, _, grid = _carriers(5e4)
+    window._rule_operators(grid.rule)
+    window._cauchy_plan.cache_clear()
+    window._neighbour_block.cache_clear()
+    cold, out = _one_far_field_step(grid)
+    warm, again = _one_far_field_step(grid)
+    assert window._cauchy_plan.cache_info().hits == 1
+    assert np.array_equal(out, again)
+    for peak in (cold, warm):
+        assert peak < 8 * window._BLOCK_ENTRIES + 2**20, (cold, warm)
+
+
+def test_cache_bytes_stay_under_the_stated_bound():
+    # 12 sub-panels of uneven widths: at least 11 neighbour geometries, more
+    # than the block cache keeps, and 48 (rp, cp) patterns, more than the
+    # plan cache keeps
+    rng = np.random.default_rng(12)
+    edges = 9.5 + np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 0.4, 12))))
+    grid = gauss_legendre_grid(list(zip(edges[:-1], edges[1:])), 256)
+    panels = np.arange(12)
+    patterns = [(np.sort(rng.choice(panels, rng.integers(1, 13), replace=False)),
+                 np.sort(rng.choice(panels, rng.integers(1, 13), replace=False)))
+                for _ in range(48)]
+    window._rule_operators(grid.rule)
+    window._cauchy_plan.cache_clear()
+    window._neighbour_block.cache_clear()
+    tracemalloc.start()
+    try:
+        for rp, cp in patterns:
+            window._cauchy(grid, rp, cp, np.ones((cp.size * grid.rule, 2)))
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert window._cauchy_plan.cache_info().currsize == window._PLAN_CACHE
+    assert window._neighbour_block.cache_info().currsize == window._BLOCK_CACHE
+    # the module docstring's bound: 0.5 MiB a block, and per plan 1 KiB,
+    # 0.5 KiB a near pair and 8 bytes a panel edge; no plan has more near
+    # pairs than the one of all sub-panels against all
+    full = window._cauchy_plan.__wrapped__(grid.panel_edges.tobytes(), panels.tobytes(),
+                                           panels.tobytes())
+    pairs = sum(len(step[2]) for step in full.steps)
+    bound = (window._BLOCK_CACHE * 2**19
+             + window._PLAN_CACHE * (2**10 + 2**9 * pairs + 8 * edges.size))
+    print(f"caches retain {retained} bytes, bound {bound}")
+    assert retained < bound, (retained, bound)
+
+
+@pytest.mark.parametrize("t_open, n", [(100.0, 768), (2e3, 3072)])
+def test_cold_and_warm_plans_give_the_same_bits(t_open, n, monkeypatch):
+    amp1, amp2, grid = _carriers(t_open)
+    assert grid.size == n
+    psi1, psi2 = sample(amp1, grid), sample(amp2, grid)
+    sent = {
+        "honest": psi1,
+        "delayed": sample(amp1.delayed(7.5), grid),
+        "mixed": measurement.mixed_density([psi1, psi2]),
+        "wrong_state": sample(make_amplitude("raised-cosine", 12.1, 0.8), grid),
+        # across the edge between the lower carrier's panel and the gap panel
+        "wrong_in_gap": sample(make_amplitude("raised-cosine", 10.4, 0.8), grid),
+    }
+    refs = {
+        "support": measurement.support_refs(grid, amp1.support, amp2.support),
+        "state": measurement.state_refs(psi1, psi2),
+    }
+    windows = [window.build_window(grid, t) for t in (1.0, t_open / 10, t_open)]
+
+    def evaluate():
+        dists = {(family, name): [astuple(d)
+                                  for d in measurement.outcome_dists(family, r, windows, s)]
+                 for family, r in refs.items() for name, s in sent.items()}
+        return dists, window.detect_probs(windows, psi1)
+
+    window._cauchy_plan.cache_clear()
+    cold = evaluate()
+    before = window._cauchy_plan.cache_info()
+    warm = evaluate()
+    after = window._cauchy_plan.cache_info()
+    # every form of the repeat call reuses its plan
+    assert after.misses == before.misses and after.hits > before.hits
+    window._cauchy_plan.cache_clear()
+    window._neighbour_block.cache_clear()
+    assert warm == cold == evaluate()
+    # and the forms keep their agreement with the direct sum
+    monkeypatch.setattr(measurement, "bilinear_forms", _direct_forms)
+    monkeypatch.setattr(window, "bilinear_forms", _direct_forms)
+    ref_dists, ref_probs = evaluate()
+    for key, ref in ref_dists.items():
+        assert np.max(np.abs(np.array(cold[0][key]) - ref)) <= 1e-13, key
+    assert np.max(np.abs(np.array(cold[1]) - ref_probs)) <= 1e-13

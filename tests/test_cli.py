@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relbc
@@ -16,6 +17,8 @@ from relbc.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_RUN_FILES,
+    RunFilesError,
     build_parser,
     main,
 )
@@ -502,3 +505,22 @@ def test_attack_csv_same_from_fresh_process_and_after_other_layouts(tmp_path):
         assert main(["attack", "--config", _write(tmp_path, cfg, "other.json"), "--out", out]) == EXIT_OK
     assert main(["attack", "--config", path, "--out", out]) == EXIT_OK
     assert Path(out).read_bytes() == fresh.read_bytes()
+
+
+def test_run_json_files_past_cap_are_refused_before_drawing(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("drew a round")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    outdir = tmp_path / "transcripts"
+    argv = ["run", "--config", _write(tmp_path, dict(RUN_CFG, n_channels=1)),
+            "--runs", str(MAX_RUN_FILES + 1), "--format", "json", "--out", str(outdir)]
+    assert main(argv) == EXIT_INVARIANT
+    assert not outdir.exists()
+    assert f"{MAX_RUN_FILES + 1} runs exceed the cap of {MAX_RUN_FILES}" in capsys.readouterr().err
+    args = build_parser().parse_args(argv)
+    with pytest.raises(RunFilesError) as info:
+        args.func(args)
+    assert (info.value.runs, info.value.cap) == (MAX_RUN_FILES + 1, MAX_RUN_FILES)
+    # the cap is the width of the file names
+    assert len(f"{MAX_RUN_FILES - 1:05d}") == 5 < len(f"{MAX_RUN_FILES:05d}")
