@@ -13,7 +13,12 @@ A and of B, and ``bilinear_forms`` evaluates it for every window of a
 call on one grid at once.  The form splits the kernel as
 sin((k - k')T) = sin(kT) cos(k'T) - cos(kT) sin(k'T), so it takes O(n)
 sines and cosines per window and then one product with the T-independent
-Cauchy matrix C = 1/(k - k') for all windows of the call.  C is applied
+Cauchy matrix C = 1/(k - k') for all windows of the call.  That product
+runs in real arithmetic on the (n_c, 2 L m) right-hand side of B's L live
+real columns for m windows: of the real and imaginary part of each column
+of B, only those not identically zero, so it skips the zero imaginary
+part of an undelayed state, and the zero column that one carrier's
+indicator leaves in a mixed factor, as it skips zero rows.  C is applied
 sub-panel by sub-panel (``_cauchy``), in the one-level form of the fast
 multipole method (Greengard & Rokhlin 1987), with every block taken from
 the sub-panel edges and the rule rather than from the stored nodes:
@@ -124,9 +129,15 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     where A and B are scaled by sqrt(w), s and c are sin(phi) and cos(phi)
     on their rows, and C = 1/(k - k') with a zero diagonal.  The scaling, the
-    (rows x windows) sines and cosines and the diagonal sum are taken once
-    per call; C, which does not depend on T, is applied once to the stacked
-    [cB, sB] of every finite nonzero window (``_cauchy``).
+    (windows x rows) sines and cosines and the diagonal sum are taken once
+    per call; C, which does not depend on T, is applied once (``_cauchy``),
+    in real arithmetic, to the real (n_c, 2 L m) right-hand side [cB, sB]
+    of every finite nonzero window.  Its columns are B's live real columns:
+    of the real and imaginary part of each of B's columns, only the L <= 2
+    r_b that are not identically zero take part, so a real-valued B costs
+    half of what a complex one costs, and a delayed (fully complex) B keeps
+    all its columns.  The results are scattered back into the complex
+    C(cB), C(sB) before the contraction with A.
     T = inf windows are the identity, and T = 0 windows the zero operator:
     they skip the phases and the product and give an exact 0.0.
     """
@@ -138,8 +149,8 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not all(_same_grid(w.grid, grid) for w in windows):
         raise ValueError("windows live on different grids")
     same = b is a
-    row_nz = a.any(axis=1)
-    col_nz = row_nz if same else b.any(axis=1)
+    row_nz = _nonzero_rows(a)
+    col_nz = row_nz if same else _nonzero_rows(b)
     if not row_nz.any() or not col_nz.any():
         return out
     common = np.flatnonzero(row_nz if same else row_nz & col_nz)
@@ -159,8 +170,8 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sw = grid.sqrt_weights[:, None]
 
     def phases(idx):
-        phi = np.multiply.outer(x[idx], ts)
-        return np.sin(phi)[..., None], np.cos(phi)[..., None]
+        phi = np.multiply.outer(ts, x[idx])
+        return np.sin(phi), np.cos(phi)
 
     sin_r, cos_r = phases(rows)
     if same:
@@ -170,13 +181,24 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         cols = (cp[:, None] * r + np.arange(r)).ravel()
         sin_c, cos_c = (sin_r, cos_r) if np.array_equal(rp, cp) else phases(cols)
     b_t = (b[cols] * sw[cols])[:, None, :]
-    # [c B, s B] of every window as one real (n_c, 4 r_b m) right-hand side
-    cs_b = np.empty((cols.size, ts.size, 2, b.shape[1]), dtype=complex)
-    cs_b[:, :, 0] = cos_c * b_t
-    cs_b[:, :, 1] = sin_c * b_t
-    cs_b = cs_b.reshape(cols.size, -1).view(np.float64)
-    g = _cauchy(grid, rp, cp, cs_b).view(np.complex128).reshape(rows.size, ts.size, 2, -1)
-    g = sin_r * g[:, :, 0] - cos_r * g[:, :, 1]
+    # B's real columns, the real and imaginary part of each complex one: only
+    # the L live (not identically zero) ones enter the product
+    b_f = b_t[:, 0].astype(complex, copy=False).view(np.float64).T
+    live = [j for j, col in enumerate(b_f) if col.any()]
+    # [c B, s B] of every window on the live columns, as one real
+    # (n_c, 2 L m) right-hand side, filled through its transpose
+    cs_b = np.empty((cols.size, ts.size, 2, len(live)))
+    np.multiply(cos_c, b_f[live, None], out=cs_b.T[:, 0])
+    np.multiply(sin_c, b_f[live, None], out=cs_b.T[:, 1])
+    g_l = _cauchy(grid, rp, cp, cs_b.reshape(cols.size, -1))
+    g_l = g_l.reshape(rows.size, *cs_b.shape[1:]).T
+    # sin(phi) C(cB) - cos(phi) C(sB), scattered back into the real
+    # columns of the complex g
+    g = np.zeros((rows.size, ts.size, b.shape[1]), dtype=complex)
+    for k, j in enumerate(live):
+        g_j = g.view(np.float64)[:, :, j].T
+        np.multiply(sin_r, g_l[k, 0], out=g_j)
+        g_j -= cos_r * g_l[k, 1]
     a_t = b_t.conj() if same else (a[rows] * sw[rows])[:, None, :].conj()
     forms = a_t.transpose(1, 2, 0) @ g.transpose(1, 0, 2)
     # where a row meets its own column (k = k') C is zero, and the
@@ -184,6 +206,15 @@ def bilinear_forms(windows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     diag = a_c @ (b_c * grid.weights[common, None])
     out[finite] = (forms + ts[:, None, None] * diag) / math.pi
     return out
+
+
+def _nonzero_rows(a: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a with a nonzero entry, OR-ed column by column:
+    numpy reduces along a short last axis several times slower."""
+    nz = np.zeros(a.shape[0], dtype=bool)
+    for col in a.T:
+        nz |= col != 0
+    return nz
 
 
 @lru_cache(maxsize=8)

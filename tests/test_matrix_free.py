@@ -6,7 +6,8 @@ C = 1/(k - k') for all windows of a call; the oracle's dense references
 (``oracle.window_matrix``, ``oracle.povm_elements``) use the direct kernel
 and serve small-grid checks only.  These tests pin the forms, one window
 or several per call, to Tr(rho M) and u^H W u from the dense matrices,
-bound the memory of one large-grid distribution, and check that dense
+for every pattern of live real columns of the right-hand side, bound the
+memory of one large-grid distribution, and check that dense
 materialisation past the budget fails before it allocates.
 """
 
@@ -19,9 +20,9 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from relbc import attacks, measurement, oracle
+from relbc import attacks, measurement, oracle, window
 from relbc.protocol import CommitConfig, ProtocolContext
-from relbc.spectra import disjoint_pair, gauss_legendre_grid, make_amplitude, sample
+from relbc.spectra import SampledState, disjoint_pair, gauss_legendre_grid, make_amplitude, sample
 from relbc.oracle import (
     DENSE_MAX_N,
     DenseBudgetError,
@@ -235,6 +236,106 @@ def test_multi_window_mixed_distribution_memory_at_n3072(ctx3072):
     assert len(dists) == 6
     # six dense complex matrices at this n would take 906 MB
     assert peak < 64 * 2**20, peak
+
+
+def _live_column_patterns(ctx):
+    """B with each pattern of live real columns, on the n = 768 grid.
+
+    A real-valued state is stored as complex with a zero imaginary part;
+    the same state as float64 has no imaginary part at all; 1j psi has a
+    zero real part; the support family's mixed factor on E_1 has a zero
+    column beside a real one; a delayed state is fully complex.
+    """
+    u = ctx.psi1.weighted()
+    assert u.dtype == complex and not np.any(u.imag)
+    lo, hi = ctx.config.amp1.support
+    on_e1 = ((ctx.grid.nodes > lo) & (ctx.grid.nodes < hi))[:, None]
+    delayed = sample(ctx.config.amp1.delayed(7.5), ctx.grid)
+    return {
+        "real_complex": u[:, None],
+        "float64": u.real[:, None],
+        "imaginary": 1j * u[:, None],
+        "zero_column": on_e1 * measurement.mixed_density([ctx.psi1, ctx.psi2]),
+        "delayed": delayed.weighted()[:, None],
+    }
+
+
+@pytest.mark.parametrize("pattern", ["real_complex", "float64", "imaginary", "zero_column",
+                                     "delayed"])
+def test_forms_match_dense_matrices_for_every_live_column_pattern(ctx, pattern):
+    b = _live_column_patterns(ctx)[pattern]
+    windows = [ctx.window(T) for T in (0.37, 10.0, ctx.config.t_open)]
+    dense = [window_matrix(w) for w in windows]
+    a = np.column_stack(ctx.refs)
+    for lhs, forms in ((b, bilinear_forms(windows, b, b)), (a, bilinear_forms(windows, a, b))):
+        for m, form in zip(dense, forms):
+            assert np.max(np.abs(form - lhs.conj().T @ m @ b)) <= AGREE_ABS, pattern
+    if pattern == "zero_column":
+        # psi_2 has no weight on E_1: its column's forms are exact zeros
+        assert np.all(bilinear_forms(windows, b, b)[:, :, 1] == 0.0)
+        assert np.all(bilinear_forms(windows, b, b)[:, 1, :] == 0.0)
+        assert np.all(bilinear_forms(windows, a, b)[:, :, 1] == 0.0)
+        # the support family builds that factor from the mixed state itself
+        b = measurement.mixed_density([ctx.psi1, ctx.psi2])
+    else:
+        # a state is stored as complex, so a float64 one reads as real_complex
+        state = SampledState(ctx.grid, b[:, 0] / ctx.grid.sqrt_weights)
+        u = state.weighted()
+        for m, p in zip(dense, window.detect_probs(windows, state)):
+            assert abs(p - float(np.real(np.vdot(u, m @ u)))) <= AGREE_ABS, pattern
+    for family in ("support", "state"):
+        c = _family(ctx, family)
+        dists = measurement.outcome_dists(family, c.refs, windows, b)
+        for w, dist in zip(windows, dists):
+            elements = tuple(povm_elements(c.povm(w.T)))
+            diff = np.array(astuple(dist)) - np.array(_dense_probs(elements, b))
+            assert np.max(np.abs(diff)) <= AGREE_ABS, (pattern, family, w.T)
+
+
+def test_cauchy_right_hand_side_holds_only_live_columns(ctx, monkeypatch):
+    # per window, cos and sin times each live real column: one real column
+    # of an honest state, its real and imaginary part for a delayed one
+    widths = []
+    cauchy = window._cauchy
+
+    def spy(grid, rp, cp, y):
+        widths.append(y.shape[1])
+        return cauchy(grid, rp, cp, y)
+
+    monkeypatch.setattr(window, "_cauchy", spy)
+    windows = [ctx.window(T) for T in (1.0, 10.0, 100.0)]
+    delayed = sample(ctx.config.amp1.delayed(7.5), ctx.grid)
+    window.detect_probs(windows, ctx.psi1)
+    window.detect_probs(windows, delayed)
+    measurement.outcome_dists("state", ctx.refs, windows, ctx.psi1)
+    measurement.outcome_dists("state", ctx.refs, windows, delayed)
+    assert widths == [2 * 3, 4 * 3, 2 * 3, 4 * 3]
+
+
+def test_real_input_form_memory_at_n15360():
+    # the right-hand side of a real B has half the columns of a complex
+    # one; B exp(i pi / 4) is the same mixture with every column complex
+    ctx = _context(1e4)
+    assert ctx.grid.size == 15360
+    mixed = measurement.mixed_density([ctx.psi1, ctx.psi2])
+    windows = [ctx.window(T) for T in (1e-3, 1.0, 10.0, 1e2, 1e3, 1e4)]
+
+    def traced(factor):
+        # plans, blocks and rule operators built before tracing
+        measurement.outcome_dists("state", ctx.refs, windows, factor)
+        tracemalloc.start()
+        try:
+            dists = measurement.outcome_dists("state", ctx.refs, windows, factor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, np.array([astuple(d) for d in dists])
+
+    real, real_dists = traced(mixed)
+    rotated, rotated_dists = traced(mixed * np.exp(0.25j * math.pi))
+    assert np.max(np.abs(real_dists - rotated_dists)) <= AGREE_ABS
+    print(f"six-window mixed distribution at n = 15360: real {real}, complex {rotated} bytes")
+    assert real <= 0.8 * rotated, (real, rotated)
 
 
 @pytest.fixture(scope="module")
